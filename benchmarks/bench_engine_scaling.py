@@ -38,8 +38,10 @@ Honest measurement notes:
   records ``cpu_count`` so downstream tooling can judge the numbers
   fairly; the ``workers-shm*`` acceptance target (>= 1.5x the best
   serial-batch row) applies on hosts with >= 2 cores.
-* ``backend`` records which kernel backend mined (see
-  :mod:`repro.kernels`; override with ``REPRO_BACKEND``).
+* ``backend`` records which kernel backend was selected (see
+  :mod:`repro.kernels`; override with ``REPRO_BACKEND``) and
+  ``backend_resolved`` the one that actually mined -- ``numpy`` when
+  ``native`` fell back on a host with no C compiler.
 
 Run directly (``python benchmarks/bench_engine_scaling.py``, with
 ``--smoke`` for the fast CI variant and ``--workers N`` to pick the
@@ -176,14 +178,15 @@ def run_scaling(smoke=False, shm_workers=None, backend=None):
         row["speedup_vs_serial_batch"] = (
             row["docs_per_sec"] / best_serial_batch
         )
+    kernel = get_backend(backend)
     meta = {
         "docs": docs,
         "doc_length": doc_length,
         "calibration_trials": trials,
         "smoke": smoke,
-        "backend": (
-            backend if backend is not None else get_backend().name
-        ),
+        "backend": kernel.name,
+        # differs from "backend" when native fell back to numpy
+        "backend_resolved": getattr(kernel, "resolved_name", kernel.name),
     }
     return calibrate_seconds, rows, meta
 
@@ -213,7 +216,8 @@ def emit_json(calibrate_seconds, rows, meta):
 def _render(calibrate_seconds, rows, meta, emit):
     emit(f"Corpus engine scaling ({meta['docs']} docs x "
          f"{meta['doc_length']} symbols, {os.cpu_count()} cpu core(s), "
-         f"backend={meta['backend']}"
+         f"backend={meta['backend']} "
+         f"(resolved {meta['backend_resolved']})"
          f"{', smoke' if meta['smoke'] else ''}):")
     emit(f"calibrate phase (pre-warmed, shared): {calibrate_seconds:.3f}s "
          f"({meta['calibration_trials']} trials)")
@@ -271,7 +275,9 @@ def main(argv=None):
                              "workers-shm rows (repeatable; default 2 and 4)")
     parser.add_argument("--backend", default=None, metavar="NAME",
                         help="kernel backend for every row (python, numpy, "
-                             "native); default: REPRO_BACKEND or numpy")
+                             "native); default: REPRO_BACKEND or native "
+                             "(which serves the bit-identical numpy "
+                             "fallback without a C compiler)")
     args = parser.parse_args(argv)
     calibrate_s, rows, meta = run_scaling(
         smoke=args.smoke, shm_workers=args.workers, backend=args.backend

@@ -269,7 +269,13 @@ def run_router_scaling(smoke=False):
             "gate": SPEEDUP_GATE,
             "gate_applies": (os.cpu_count() or 1) >= 2,
         }
+    kernel = get_backend()
     meta = {
+        "backend": kernel.name,
+        # the shards inherit this environment and compile cache, so
+        # they resolve the same way; differs from "backend" when native
+        # fell back to numpy
+        "backend_resolved": getattr(kernel, "resolved_name", kernel.name),
         "doc_length": doc_length,
         "requests_per_client": requests_per_client,
         "warmup_per_client": warmup,
@@ -301,7 +307,6 @@ def emit_json(rows, comparison, meta):
     payload = {
         "benchmark": "router_scaling",
         "cpu_count": os.cpu_count(),
-        "backend": get_backend().name,
         **meta,
         "note": "closed-loop clients sending multi-document mine requests "
                 "through repro-mss route to N spawned serve processes; each "
@@ -322,7 +327,8 @@ def emit_json(rows, comparison, meta):
 def _render(rows, comparison, meta, emit):
     emit(f"Router scaling ({meta['requests_per_client']} reqs/client x "
          f"{DOCS_PER_REQUEST} docs of {meta['doc_length']} symbols, "
-         f"{os.cpu_count()} cpu core(s), backend={get_backend().name}"
+         f"{os.cpu_count()} cpu core(s), backend={meta['backend']} "
+         f"(resolved {meta['backend_resolved']})"
          f"{', smoke' if meta['smoke'] else ''}):")
     header = (f"{'shards':>6}  {'clients':>7}  {'docs/sec':>9}  "
               f"{'p50 ms':>8}  {'p99 ms':>8}  {'spread':>20}")

@@ -222,14 +222,15 @@ def run_service_load(smoke=False, backend=None):
             "batching_speedup": on["docs_per_second"] / off["docs_per_second"],
             "p50_ratio": on["p50_ms"] / off["p50_ms"],
         })
+    kernel = get_backend(backend)
     meta = {
         "doc_length": doc_length,
         "requests_per_client": requests_per_client,
         "warmup_per_client": warmup,
         "smoke": smoke,
-        "backend": (
-            backend if backend is not None else get_backend().name
-        ),
+        "backend": kernel.name,
+        # differs from "backend" when native fell back to numpy
+        "backend_resolved": getattr(kernel, "resolved_name", kernel.name),
         "metrics_text": metrics_text,
     }
     return rows, comparison, meta
@@ -270,7 +271,8 @@ def emit_json(rows, comparison, meta):
 def _render(rows, comparison, meta, emit):
     emit(f"Service load ({meta['requests_per_client']} reqs/client x 1 doc "
          f"of {meta['doc_length']} symbols, {os.cpu_count()} cpu core(s), "
-         f"backend={meta['backend']}"
+         f"backend={meta['backend']} "
+         f"(resolved {meta['backend_resolved']})"
          f"{', smoke' if meta['smoke'] else ''}):")
     header = (f"{'mode':>14}  {'clients':>7}  {'docs/sec':>9}  "
               f"{'p50 ms':>8}  {'p99 ms':>8}  {'srv p50':>8}  "
@@ -454,7 +456,8 @@ def main(argv=None):
     parser.add_argument(
         "--backend", default=None, metavar="NAME",
         help="kernel backend for the service under load (python, numpy, "
-             "native); default: REPRO_BACKEND or numpy",
+             "native); default: REPRO_BACKEND or native (which serves "
+             "the bit-identical numpy fallback without a C compiler)",
     )
     args = parser.parse_args(argv)
     if args.fault:

@@ -36,8 +36,10 @@ their own subpackages:
   shared-memory worker pool, deterministic backpressure, and a
   disk-backed calibration cache for zero-trial warm restarts.
 * :mod:`repro.kernels` -- pluggable scan/calibration kernel backends
-  (vectorised ``"numpy"`` default, ``"python"`` reference; selectable
-  per call, via ``REPRO_BACKEND``, or ``--backend`` on the CLI).  The
+  (compiled ``"native"`` default, vectorised ``"numpy"`` -- which the
+  default falls back to, bit for bit, on a host with no C compiler --
+  and the ``"python"`` reference; selectable per call, via
+  ``REPRO_BACKEND``, or ``--backend`` on the CLI).  The
   full backend contract lives in that module's docstring and in
   ``docs/ARCHITECTURE.md``.
 """

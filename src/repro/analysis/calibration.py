@@ -116,10 +116,11 @@ def mss_null_distribution(
     Cost: ``trials`` MSS scans of length-``n`` null strings, i.e.
     O(trials * k * n^1.5) expected -- the pruned scanner is what makes
     this calibration affordable at all.  The simulation runs through the
-    selected kernel backend (:mod:`repro.kernels`): the default
-    ``"numpy"`` backend scans all trials as one batched wavefront and is
-    several times faster than the ``"python"`` reference, with
-    bit-identical samples (both consume the RNG stream the same way).
+    selected kernel backend (:mod:`repro.kernels`): the ``"numpy"``
+    backend scans all trials as one batched wavefront, the default
+    ``"native"`` backend scans them in C, and both are several times
+    faster than the ``"python"`` reference, with bit-identical samples
+    (all consume the RNG stream the same way).
 
     >>> model = BernoulliModel.uniform("ab")
     >>> dist = mss_null_distribution(model, 500, trials=20, seed=1)

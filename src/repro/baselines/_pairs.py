@@ -4,11 +4,12 @@ ARLM and the blocking technique both reduce to: given a set of candidate
 start positions and a set of candidate end positions, find the pair with
 the maximum X².  Since the kernels subsystem took over every numeric hot
 loop, this module is a thin front onto the backends'
-``best_over_pairs`` kernel (see :mod:`repro.kernels`): the default
-``"numpy"`` backend keeps the O(m²) pair evaluation at C speed (the
-reference baselines would otherwise be unusable at the paper's string
-sizes), the ``"python"`` backend is the interpreted reference, and the
-two agree bit for bit (``tests/kernels``).
+``best_over_pairs`` kernel (see :mod:`repro.kernels`): the ``"numpy"``
+backend -- which the default ``"native"`` backend delegates this kernel
+to -- keeps the O(m²) pair evaluation at C speed (the reference
+baselines would otherwise be unusable at the paper's string sizes), the
+``"python"`` backend is the interpreted reference, and the two agree
+bit for bit (``tests/kernels``).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def best_over_pairs(
         sorted by the kernel).
     backend:
         Kernel backend name or instance (default: ``REPRO_BACKEND`` or
-        ``"numpy"``); all backends return identical results.
+        ``"native"``); all backends return identical results.
 
     Returns
     -------

@@ -119,9 +119,10 @@ def find_mss_trivial_numpy(
 
     Bit-identical to :func:`find_mss_trivial` (tested): the scan routes
     through the backend's ``scan_mss_exhaustive`` kernel
-    (:mod:`repro.kernels`), whose default ``"numpy"`` implementation
-    runs the O(n²) work vectorised so Table 1's n = 20000 completes in
-    seconds rather than minutes.
+    (:mod:`repro.kernels`), whose ``"numpy"`` implementation -- the one
+    the default ``"native"`` backend delegates to -- runs the O(n²) work
+    vectorised so Table 1's n = 20000 completes in seconds rather than
+    minutes.
     """
     index, n = _prepare(text, model)
     kernel = get_backend(backend)

@@ -29,10 +29,13 @@ Input is a text file (or stdin with ``-``); the alphabet defaults to the
 distinct characters of the input with maximum-likelihood probabilities,
 or is given explicitly with ``--alphabet``/``--probs``.  Output is
 human-readable by default, JSON with ``--json``.  Every mining command
-accepts ``--backend`` to pick a scan kernel (``numpy`` vectorised
-default, ``native`` compiled-C, ``python`` reference -- identical
+accepts ``--backend`` to pick a scan kernel (``native`` compiled-C
+default, ``numpy`` vectorised, ``python`` reference -- identical
 results, see :mod:`repro.kernels`); the ``REPRO_BACKEND`` environment
-variable sets the session-wide default.
+variable sets the session-wide default.  On a host with no C compiler
+(and no cached artifact) ``native`` serves the bit-identical numpy
+fallback; ``serve`` reports it on ``/healthz``, ``/stats`` and the
+``repro_backend_fallback_total`` metric.
 """
 
 from __future__ import annotations
@@ -155,9 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--backend",
             default=None,
-            help="kernel backend: 'numpy' (vectorised, default), "
-                 "'native' (compiled C, falls back to numpy without a "
-                 "compiler) or 'python' (reference); results are "
+            help="kernel backend: 'native' (compiled C, default; falls "
+                 "back to numpy without a compiler), 'numpy' "
+                 "(vectorised) or 'python' (reference); results are "
                  "identical (env: REPRO_BACKEND)",
         )
 

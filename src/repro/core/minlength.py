@@ -47,7 +47,7 @@ def find_mss_min_length(
         ``1 <= min_length <= n``.
     backend:
         Kernel backend name or instance (default: ``REPRO_BACKEND`` or
-        ``"numpy"``).
+        ``"native"``).
 
     Examples
     --------

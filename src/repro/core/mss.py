@@ -13,9 +13,11 @@ gets faster (§5.1).
 The scan itself is delegated to a pluggable kernel backend
 (:mod:`repro.kernels`): the ``"python"`` reference walks the loops
 interpreted (with a hand-tuned binary fast path for ``k = 2``, the common
-case in the paper's experiments), while the default ``"numpy"`` backend
-runs the same arithmetic as batched array operations -- bit-identical
-results, including the evaluated/skipped work counters (tested).
+case in the paper's experiments), the ``"numpy"`` backend runs the same
+arithmetic as batched array operations, and the default ``"native"``
+backend runs it as compiled C (falling back to numpy on a host with no
+C compiler) -- bit-identical results, including the evaluated/skipped
+work counters (tested).
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def find_mss(
         The null :class:`~repro.core.model.BernoulliModel`.
     backend:
         Kernel backend name or instance (default: the ``REPRO_BACKEND``
-        environment variable, falling back to ``"numpy"``).
+        environment variable, falling back to ``"native"``).
 
     Returns
     -------

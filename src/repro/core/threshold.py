@@ -70,7 +70,7 @@ def find_above_threshold(
         complexity benchmarks (Figure 6) use this.
     backend:
         Kernel backend name or instance (default: ``REPRO_BACKEND`` or
-        ``"numpy"``).
+        ``"native"``).
 
     Examples
     --------

@@ -42,7 +42,7 @@ def find_top_t(
         ``1 <= t <= n (n + 1) / 2``.
     backend:
         Kernel backend name or instance (default: ``REPRO_BACKEND`` or
-        ``"numpy"``).
+        ``"native"``).
 
     Examples
     --------

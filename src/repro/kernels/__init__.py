@@ -22,8 +22,13 @@ Selection, most specific wins:
 1. an explicit ``backend=`` argument (a name or a backend instance) on
    :func:`repro.find_mss` and friends, or ``--backend`` on the CLI;
 2. the ``REPRO_BACKEND`` environment variable;
-3. the default, ``"numpy"`` -- safe because the backends are
-   bit-for-bit interchangeable (enforced by the parity test-suite).
+3. the default, ``"native"`` -- safe because the backends are
+   bit-for-bit interchangeable (enforced by the parity test-suite), and
+   a host with no C compiler and no cached artifact gets the
+   bit-identical numpy fallback.  A running service reports which one
+   actually serves (``backend_resolved`` on ``GET /healthz`` and
+   ``GET /stats``, ``repro_backend_fallback_total`` on
+   ``GET /metrics``).
 
 Third-party backends (a C extension, a GPU port) register with
 :func:`register_backend` and become selectable everywhere by name.
@@ -122,7 +127,7 @@ __all__ = [
 ENV_VAR = "REPRO_BACKEND"
 
 #: Fallback when neither an argument nor the environment chooses.
-DEFAULT_BACKEND = "numpy"
+DEFAULT_BACKEND = "native"
 
 _REGISTRY: dict[str, object] = {}
 

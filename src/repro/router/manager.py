@@ -48,6 +48,15 @@ class ShardStartupError(RuntimeError):
     """A shard child exited (or went silent) before announcing its port."""
 
 
+def _drain(stream) -> None:
+    """Consume one child pipe until EOF (daemon thread)."""
+    try:
+        for _ in stream:
+            pass
+    except ValueError:  # stream closed during interpreter exit
+        pass
+
+
 class ShardProcess:
     """One owned ``repro-mss serve`` child process.
 
@@ -92,7 +101,6 @@ class ShardProcess:
         self.process: subprocess.Popen | None = None
         #: Completed spawns (1 after :meth:`start`, +1 per restart).
         self.spawns = 0
-        self._drain_thread: threading.Thread | None = None
 
     @property
     def alive(self) -> bool:
@@ -147,12 +155,20 @@ class ShardProcess:
         )
         self.spawns += 1
         self.address = self._await_banner()
-        # Keep draining the pipes so a chatty child never blocks on a
-        # full pipe buffer mid-request.
-        self._drain_thread = threading.Thread(
-            target=self._drain_pipes, name=f"{self.name}-drain", daemon=True
-        )
-        self._drain_thread.start()
+        # Keep draining both pipes so a chatty child never blocks on a
+        # full pipe buffer mid-request.  One thread per pipe: stdout
+        # stays open for the child's whole life, so a single reader
+        # would never get past it to the access log on stderr.
+        for label, stream in (
+            ("stdout", self.process.stdout),
+            ("stderr", self.process.stderr),
+        ):
+            threading.Thread(
+                target=_drain,
+                args=(stream,),
+                name=f"{self.name}-drain-{label}",
+                daemon=True,
+            ).start()
         _LOG.info(
             "shard_started",
             shard=self.name,
@@ -187,20 +203,6 @@ class ShardProcess:
                     f"{self.process.returncode} before binding"
                     + (f"; stderr tail:\n{stderr}" if stderr else "")
                 )
-
-    def _drain_pipes(self) -> None:
-        """Consume child stdout/stderr until EOF (daemon thread)."""
-        process = self.process
-        if process is None:  # pragma: no cover - start() always sets it
-            return
-        for stream in (process.stdout, process.stderr):
-            if stream is None:
-                continue
-            try:
-                for _ in stream:
-                    pass
-            except ValueError:  # stream closed during interpreter exit
-                pass
 
     def terminate(self, timeout: float = 15.0) -> int | None:
         """SIGTERM the child and wait for its graceful drain to finish.

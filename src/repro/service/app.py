@@ -16,9 +16,13 @@ Endpoints (JSON over a minimal HTTP/1.1 subset, stdlib only):
   full :meth:`~repro.engine.corpus.CorpusResult.payload` and are
   bit-identical to a direct ``CorpusEngine.run`` of the same request.
   Over capacity: ``429`` with a ``Retry-After`` hint.
-* ``GET /healthz`` -- liveness: status, uptime, pool state; flips to
-  ``degraded`` while the worker-pool breaker is non-closed or an
-  *enforced* SLO fast-burn condition holds (see :mod:`repro.obs.slo`).
+* ``GET /healthz`` -- liveness: status, uptime, pool state and the
+  kernel backend that serves (``backend``/``backend_resolved``, plus
+  ``backend_fallback_reason`` when ``native`` fell back to numpy);
+  flips to ``degraded`` while the worker-pool breaker is non-closed or
+  an *enforced* SLO fast-burn condition holds (see
+  :mod:`repro.obs.slo`).  A backend fallback alone never degrades it:
+  numpy answers bit-identically, only slower.
 * ``GET /stats`` -- queue depth, batch fill, cache hit rates, executor
   diagnostics, and the full metrics snapshot; ``GET /stats?trace=1``
   additionally returns the recent/slow request span trees (see
@@ -271,6 +275,11 @@ class MiningService:
             "repro_requests_timed_out_total",
             "Mine requests answered 504 after their deadline passed.",
         )
+        self._backend_fallbacks = self.metrics.counter(
+            "repro_backend_fallback_total",
+            "Times the kernel backend resolved at start-up differed from "
+            "the one requested (native without a compiler serves numpy).",
+        )
         self._server: asyncio.base_events.Server | None = None
         self._started_at: float | None = None
         self.address: tuple[str, int] | None = None
@@ -281,15 +290,15 @@ class MiningService:
     async def start(
         self, host: str = "127.0.0.1", port: int = 0
     ) -> tuple[str, int]:
-        """Bind, warm the worker pool, start serving.
+        """Resolve the kernel backend, warm the worker pool, bind, serve.
 
         ``port=0`` binds an ephemeral port.  Returns (and stores on
-        :attr:`address`) the actual ``(host, port)`` pair.  A bind
-        failure (port in use, bad host) releases everything started
-        before it -- the batcher dispatcher and the warmed worker pool
-        do not outlive a service that never served.  A stopped service
-        cannot be restarted (its batcher and mining thread are gone):
-        build a new :class:`MiningService` instead.
+        :attr:`address`) the actual ``(host, port)`` pair.  A failure
+        before serving (port in use, bad host, unknown backend) releases
+        everything started before it -- the batcher dispatcher and the
+        warmed worker pool do not outlive a service that never served.
+        A stopped service cannot be restarted (its batcher and mining
+        thread are gone): build a new :class:`MiningService` instead.
         """
         if self.batcher.closed:
             raise RuntimeError(
@@ -297,13 +306,21 @@ class MiningService:
                 "restarted; build a new one"
             )
         await self.batcher.start()
-        pool = getattr(self.engine.executor, "pool", None)
-        if pool is not None:
-            # Spawn worker processes now, off the request path.  (Before
-            # binding: warm() races pool.ensure_started if a request
-            # could arrive concurrently.)
-            await asyncio.get_running_loop().run_in_executor(None, pool.warm)
+        loop = asyncio.get_running_loop()
         try:
+            # Load (or compile) the native library and run its parity
+            # self-check now, off the event loop, instead of on the
+            # first request; pool workers forked below inherit the
+            # loaded library rather than repeating the check.
+            backend = await loop.run_in_executor(None, self.backend_status)
+            if backend["backend_resolved"] != backend["backend"]:
+                self._backend_fallbacks.inc()
+            pool = getattr(self.engine.executor, "pool", None)
+            if pool is not None:
+                # Spawn worker processes now, off the request path.
+                # (Before binding: warm() races pool.ensure_started if
+                # a request could arrive concurrently.)
+                await loop.run_in_executor(None, pool.warm)
             self._server = await asyncio.start_server(self._handle, host, port)
         except BaseException:
             await self.batcher.close()
@@ -346,10 +363,30 @@ class MiningService:
             self.trace_sink.close()
         self.engine.close()
 
+    def backend_status(self) -> dict:
+        """The service's kernel backend, as ``/healthz`` and ``/stats``
+        report it.
+
+        ``backend`` is the one requested (``serve --backend``,
+        ``REPRO_BACKEND`` or the registry default); ``backend_resolved``
+        the one actually serving -- they differ only when ``native``
+        fell back to numpy (no compiler or cached artifact), and then
+        ``backend_fallback_reason`` says why.  The first call resolves
+        the backend; :meth:`start` makes that call off the event loop.
+        """
+        kernel = get_backend(self.backend)
+        status = {
+            "backend": kernel.name,
+            "backend_resolved": getattr(kernel, "resolved_name", kernel.name),
+        }
+        reason = getattr(kernel, "fallback_reason", None)
+        if reason is not None:
+            status["backend_fallback_reason"] = reason
+        return status
+
     def stats(self) -> dict:
         """JSON-ready service metrics (the ``GET /stats`` payload)."""
         executor = self.engine.executor
-        kernel = get_backend(self.backend)
         data = {
             "uptime_seconds": (
                 time.monotonic() - self._started_at
@@ -360,12 +397,7 @@ class MiningService:
             "engine": {
                 "executor": getattr(executor, "name", type(executor).__name__),
                 "workers": getattr(executor, "workers", 1),
-                "backend": kernel.name,
-                # equals "backend" except when "native" degraded to its
-                # numpy fallback (no compiler/artifact on this host)
-                "backend_resolved": getattr(
-                    kernel, "resolved_name", kernel.name
-                ),
+                **self.backend_status(),
                 "batch_docs": self.engine.batch_docs,
                 "correction": self.engine.correction,
                 "alpha": self.engine.alpha,
@@ -418,6 +450,13 @@ class MiningService:
         point).  When the executor has a breaker its full
         :meth:`~repro.engine.supervisor.PoolSupervisor.status` rides
         along under ``"pool_breaker"``.
+
+        The :meth:`backend_status` fields ride along too.  A backend
+        fallback is visible there (and on
+        ``repro_backend_fallback_total``) but leaves ``status`` at
+        ``"ok"``: the numpy fallback answers bit-identically, and a
+        degraded report would eject every shard of a compiler-less
+        fleet from the router.
         """
         data = {
             "status": "ok",
@@ -427,6 +466,7 @@ class MiningService:
                 else 0.0
             ),
             "queue_depth_docs": self.batcher.queue_depth_docs,
+            **self.backend_status(),
         }
         supervisor = getattr(self.engine.executor, "supervisor", None)
         if supervisor is not None:

@@ -23,7 +23,7 @@ The request JSON schema (all spec fields optional)::
      "ids": ["doc-a", ...],    # optional, defaults to doc-0000...
      "problem": "mss" | "top" | "threshold" | "minlength",
      "t": 10, "threshold": 0.0, "min_length": 1, "limit": 100,
-     "backend": "numpy" | "python",
+     "backend": "native" | "numpy" | "python",
      "alphabet": "ab",         # optional, else the service's model
      "probs": [0.5, 0.5],      # optional, else uniform over alphabet
      "correction": "bh" | "bonferroni" | "none",   # optional

@@ -20,6 +20,33 @@ ALPHABETS = {2: "ab", 3: "abc", 4: "abcd", 5: "abcde"}
 
 
 @pytest.fixture
+def scratch_registry():
+    """Snapshot the process-global backend registry and restore it
+    afterwards, so probe backends never leak into other tests."""
+    import repro.kernels
+
+    saved = dict(repro.kernels._REGISTRY)
+    yield
+    repro.kernels._REGISTRY.clear()
+    repro.kernels._REGISTRY.update(saved)
+
+
+@pytest.fixture
+def fresh_cache(tmp_path, monkeypatch):
+    """Point the native compile cache at an empty directory."""
+    from repro.kernels.native_backend import CACHE_ENV
+
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
+    return tmp_path / "cache"
+
+
+@pytest.fixture
+def no_compiler(monkeypatch):
+    """Make compiler discovery fail ($CC is honoured, even when broken)."""
+    monkeypatch.setenv("CC", "/nonexistent-compiler")
+
+
+@pytest.fixture
 def fair_model() -> BernoulliModel:
     """Uniform binary model -- the workhorse of the paper's experiments."""
     return BernoulliModel.uniform("ab")

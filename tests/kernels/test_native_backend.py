@@ -5,9 +5,10 @@ Parity of the *results* lives in the shared suites
 this file tests the machinery around them -- a forced compile failure
 degrading to numpy with a structured warning, artifact reuse without a
 compiler (the worker-after-fork story), corrupt-artifact demotion,
-backend-independent calibration fingerprints, and the registry's typo
-hint.  Everything here runs on compiler-less hosts too: the fallback
-path is exactly what is under test.
+backend-independent calibration fingerprints, the registry's typo
+hint, and ``native`` as the default a fresh interpreter resolves.
+Everything here runs on compiler-less hosts too: the fallback path is
+exactly what is under test.
 """
 
 from __future__ import annotations
@@ -15,9 +16,14 @@ from __future__ import annotations
 import io
 import json
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.kernels.native_backend as native_backend
 from repro.core.counts import PrefixCountIndex
 from repro.core.model import BernoulliModel
@@ -27,19 +33,6 @@ from repro.kernels import get_backend
 from repro.kernels.native_backend import NativeBackend
 from repro.obs import log as obs_log
 from tests.kernels.conftest import ACCEL_BACKENDS, _native_ready
-
-
-@pytest.fixture
-def fresh_cache(tmp_path, monkeypatch):
-    """Point the compile cache at an empty directory."""
-    monkeypatch.setenv(native_backend.CACHE_ENV, str(tmp_path / "cache"))
-    return tmp_path / "cache"
-
-
-@pytest.fixture
-def no_compiler(monkeypatch):
-    """Make compiler discovery fail ($CC is honoured, even when broken)."""
-    monkeypatch.setenv("CC", "/nonexistent-compiler")
 
 
 @pytest.fixture
@@ -152,6 +145,68 @@ class TestCompileCache:
 
         monkeypatch.setenv(ENV_VAR, "native")
         assert get_backend().name == "native"
+
+
+#: Run in a fresh interpreter: resolve the default backend, then mine a
+#: planted string with it and with the python reference.
+_DEFAULT_PROBE = """
+import dataclasses, json
+from repro import BernoulliModel, find_mss, get_backend
+
+def outcome(result):
+    stats = dataclasses.asdict(result.stats)
+    stats.pop("elapsed_seconds")
+    return [dataclasses.asdict(result.best), stats]
+
+backend = get_backend()
+model = BernoulliModel.uniform("ab")
+text = "ab" * 40 + "a" * 14 + "ba" * 40
+print(json.dumps({
+    "name": backend.name,
+    "resolved": backend.resolved_name,
+    "reason": backend.fallback_reason,
+    "default": outcome(find_mss(text, model)),
+    "python": outcome(find_mss(text, model, backend="python")),
+}))
+"""
+
+
+def _probe_default(**env) -> dict:
+    """Run :data:`_DEFAULT_PROBE` with no ``REPRO_BACKEND`` set."""
+    child_env = {
+        key: value for key, value in os.environ.items()
+        if key != "REPRO_BACKEND"
+    }
+    child_env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+    child_env.update(env)
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEFAULT_PROBE],
+        capture_output=True, text=True, env=child_env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestDefaultBackend:
+    def test_fresh_interpreter_without_compiler_serves_numpy(self, tmp_path):
+        report = _probe_default(
+            CC="/nonexistent-compiler",
+            REPRO_NATIVE_CACHE=str(tmp_path / "empty-cache"),
+        )
+        assert report["name"] == "native"
+        assert report["resolved"] == "numpy"
+        assert "no C compiler" in report["reason"]
+        assert report["default"] == report["python"]
+
+    @pytest.mark.skipif(
+        not _native_ready(), reason="needs a working C compiler"
+    )
+    def test_fresh_interpreter_with_compiler_serves_native(self):
+        report = _probe_default()
+        assert report["name"] == "native"
+        assert report["resolved"] == "native"
+        assert report["reason"] is None
+        assert report["default"] == report["python"]
 
 
 class TestCalibrationFingerprints:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 import repro
-import repro.kernels
 from repro.core.model import BernoulliModel
 from repro.core.mss import find_mss
 from repro.kernels import (
@@ -17,16 +16,6 @@ from repro.kernels import (
 )
 from repro.kernels.numpy_backend import NumpyBackend
 from repro.kernels.python_backend import PythonBackend
-
-
-@pytest.fixture
-def scratch_registry():
-    """Snapshot the process-global registry and restore it afterwards,
-    so probe backends never leak into other tests."""
-    saved = dict(repro.kernels._REGISTRY)
-    yield
-    repro.kernels._REGISTRY.clear()
-    repro.kernels._REGISTRY.update(saved)
 
 
 def test_builtin_backends_registered():

@@ -12,8 +12,9 @@ scripts the failure scenarios the suite needs:
 * :meth:`restart_shard` -- respawn a dead shard, optionally with a
   different environment (chaos recovery: restart *without*
   ``REPRO_FAULTS``);
-* :meth:`wait_status` / :meth:`wait_healthy` -- poll the router's
-  ``/healthz`` until ejection/rejoin has been observed, bounded.
+* :meth:`wait_status` / :meth:`wait_healthy` / :meth:`wait_probed` --
+  poll the router's ``/healthz`` until ejection/rejoin (or a first
+  health sweep) has been observed, bounded.
 
 Teardown is unconditional: exiting the context stops the router
 (whose ordered drain SIGTERMs every owned shard) and then SIGKILLs
@@ -173,6 +174,18 @@ class RouterHarness:
         return self._wait(
             lambda health: health["shards_healthy"] == count,
             f"router never reported {count} healthy shards",
+            timeout,
+        )
+
+    def wait_probed(self, timeout: float = 15.0) -> dict:
+        """Poll router ``/healthz`` until every shard has been probed
+        at least once (its status is no longer ``"unknown"``)."""
+        return self._wait(
+            lambda health: all(
+                shard["status"] != "unknown"
+                for shard in health["shards"].values()
+            ),
+            "router never probed every shard",
             timeout,
         )
 

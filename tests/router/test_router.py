@@ -10,14 +10,18 @@ compared as canonical JSON, i.e. byte-identical bodies.)
 Also covered here: batch affinity (same routing key => same
 ``X-Shard``), health ejection + rejoin after a restart, aggregated
 ``/metrics`` (shard labels, single metadata per family) and ``/stats``,
-and the ordered drain leaving no child process behind.
+shards on a host with no C compiler staying in rotation, the ordered
+drain leaving no child process behind, and shard log pipes that never
+fill up.
 """
 
 import http.client
 import json
+import sys
 import threading
 import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,10 @@ from repro.core.model import BernoulliModel
 from repro.engine import CorpusEngine
 from repro.generators import generate_null_string
 from repro.service import ServiceClient
+
+_TOOLS = Path(__file__).resolve().parents[2] / "tools"
+sys.path.insert(0, str(_TOOLS))
+from check_metrics import check_exposition  # noqa: E402
 
 MODEL = BernoulliModel.uniform("ab")
 
@@ -288,6 +296,47 @@ class TestAggregation:
             assert response.status == 404
 
 
+class TestBackendFallback:
+    def test_compiler_less_shards_stay_in_rotation(self, corpus, tmp_path):
+        """Shards whose default native kernels fell back to numpy (no
+        compiler, empty artifact cache) say so on /stats and on
+        repro_backend_fallback_total for every shard of the merged
+        scrape, yet report "ok": the router keeps routing to them, and
+        every answer still equals the direct engine run."""
+        env = {
+            "CC": "/nonexistent-compiler",
+            "REPRO_NATIVE_CACHE": str(tmp_path / "empty-cache"),
+            "REPRO_BACKEND": "",
+        }
+        with RouterHarness(shards=2, shard_env={0: env, 1: env}) as harness:
+            mined = _mine_mix(harness.address, corpus)
+            health = harness.wait_probed()
+            with harness.client() as client:
+                stats = client.stats()
+                scrape = client.metrics()
+        assert health["status"] == "ok"
+        assert health["shards_healthy"] == 2
+        assert {s["status"] for s in health["shards"].values()} == {"ok"}
+        for shard_stats in stats["shards"].values():
+            engine = shard_stats["engine"]
+            assert engine["backend_resolved"] == "numpy"
+            assert "no C compiler" in engine["backend_fallback_reason"]
+        assert check_exposition(scrape, sharded=True) == []
+        fallbacks = sorted(
+            line for line in scrape.splitlines()
+            if line.startswith("repro_backend_fallback_total{")
+        )
+        assert fallbacks == [
+            'repro_backend_fallback_total{shard="shard-0"} 1',
+            'repro_backend_fallback_total{shard="shard-1"} 1',
+        ]
+        for canonical, expected_docs in zip(mined, _direct_expected(corpus)):
+            payload = json.loads(canonical)
+            assert (
+                json.dumps(payload["results"], sort_keys=True) == expected_docs
+            )
+
+
 class TestDrain:
     def test_teardown_leaves_no_children(self, corpus):
         with RouterHarness(shards=2) as harness:
@@ -302,3 +351,18 @@ class TestDrain:
         assert not any(s.alive for s in shards)
         for shard in shards:
             assert shard.process.returncode == 0
+
+
+class TestShardLogDrain:
+    def test_access_log_past_the_pipe_buffer_never_wedges_a_shard(self):
+        """``serve`` at its default ``--log-level info`` writes one
+        access line per request to stderr.  ``ShardProcess`` must keep
+        draining that pipe while stdout stays open for the child's
+        whole life: once 64 KiB of unread log filled the pipe, the
+        shard blocked mid-request and the router ejected it."""
+        requests = 1400  # access lines run >= 100 bytes: > 2 x 64 KiB
+        with RouterHarness(shards=1) as harness:
+            with harness.client(timeout=20.0) as client:
+                for _ in range(requests):
+                    assert client.mine(text="abba")["documents"] == 1
+                assert client.healthz()["shards_healthy"] == 1
