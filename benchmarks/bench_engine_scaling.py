@@ -4,21 +4,17 @@ The corpus engine's pitch is that mining a corpus is embarrassingly
 parallel once calibration is shared; this benchmark measures what each
 executor actually buys on one synthetic corpus and emits
 machine-readable ``results/BENCH_engine.json`` alongside the usual text
-table.  Three executor families appear as rows:
+table.  Two executor families appear as rows:
 
 * ``serial`` / ``serial-batch*`` -- the in-process baseline and the
   corpus-batched kernel path (``batch_docs``: one ``mine_batch`` call
   per chunk of documents), the serial amortisation win tracked across
   PRs;
-* ``process-*`` -- the chunked pickling pool, kept honest as the
-  negative control: per-job document/result pickling makes it *lose*
-  to serial on corpora of small documents;
-* ``workers-shm*`` -- the zero-copy shared-memory executor
-  (:class:`repro.engine.SharedMemoryExecutor`): documents packed and
-  published once, worker tasks attaching blocks by name, compact
-  result arrays back.  These rows carry a ``phases`` sub-dict
-  (pack/mine/aggregate seconds) so the dispatch overhead is visible
-  next to the kernel time.
+* ``workers-thread*`` -- the thread tier
+  (:class:`repro.engine.ThreadExecutor`): a persistent thread pool
+  mining one document per task.  The native kernels release the GIL,
+  so these rows scale with cores; on any other backend the executor
+  mines on one thread and the rows read as serial.
 
 Honest measurement notes:
 
@@ -36,16 +32,18 @@ Honest measurement notes:
 * Speedup is bounded by physical cores.  On a single-core container
   every multi-worker row only shows dispatch overhead -- the JSON
   records ``cpu_count`` so downstream tooling can judge the numbers
-  fairly; the ``workers-shm*`` acceptance target (>= 1.5x the best
-  serial-batch row) applies on hosts with >= 2 cores.
+  fairly; the ``workers-thread*`` acceptance target (>= 1.5x serial,
+  and above the best serial-batch row) applies on hosts with >= 2
+  cores.
 * ``backend`` records which kernel backend was selected (see
   :mod:`repro.kernels`; override with ``REPRO_BACKEND``) and
   ``backend_resolved`` the one that actually mined -- ``numpy`` when
-  ``native`` fell back on a host with no C compiler.
+  ``native`` fell back on a host with no C compiler.  Every row repeats
+  ``cpu_count`` and ``backend_resolved``.
 
 Run directly (``python benchmarks/bench_engine_scaling.py``, with
 ``--smoke`` for the fast CI variant and ``--workers N`` to pick the
-shared-memory worker counts) or through pytest
+thread counts) or through pytest
 (``pytest benchmarks/bench_engine_scaling.py``).
 """
 
@@ -61,28 +59,22 @@ from repro.engine import (
     CalibrationCache,
     CorpusEngine,
     JobSpec,
-    ProcessExecutor,
     SerialExecutor,
-    SharedMemoryExecutor,
+    ThreadExecutor,
 )
 from repro.generators import generate_null_string
 from repro.kernels import get_backend
 
 DOCS = 96
 DOC_LENGTH = 1500
-PROCESS_WORKER_COUNTS = [1, 2, 4]
-SHM_WORKER_COUNTS = [2, 4]
-SHM_BATCH_DOCS = 32
+THREAD_COUNTS = [2, 4]
 BATCH_SIZES = [32, DOCS]
 CALIBRATION_TRIALS = 50
 
 SMOKE_DOCS = 32
 SMOKE_DOC_LENGTH = 500
 SMOKE_TRIALS = 15
-#: Smaller chunks in smoke mode so the 32-document corpus still splits
-#: into several worker tasks -- otherwise one chunk would mine
-#: in-process and the smoke run would never exercise the pool.
-SMOKE_SHM_BATCH_DOCS = 8
+SMOKE_BATCH_DOCS = 8
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
@@ -98,14 +90,13 @@ def build_corpus(model, docs, doc_length):
     return texts
 
 
-def run_scaling(smoke=False, shm_workers=None, backend=None):
+def run_scaling(smoke=False, threads=None, backend=None):
     docs = SMOKE_DOCS if smoke else DOCS
     doc_length = SMOKE_DOC_LENGTH if smoke else DOC_LENGTH
     trials = SMOKE_TRIALS if smoke else CALIBRATION_TRIALS
-    batch_sizes = [SHM_BATCH_DOCS] if smoke else BATCH_SIZES
-    process_workers = [2] if smoke else PROCESS_WORKER_COUNTS
-    if shm_workers is None:
-        shm_workers = SHM_WORKER_COUNTS
+    batch_sizes = [SMOKE_BATCH_DOCS] if smoke else BATCH_SIZES
+    if threads is None:
+        threads = THREAD_COUNTS
     model = BernoulliModel.uniform("ab")
     corpus = build_corpus(model, docs, doc_length)
     # ``backend=None`` defers to REPRO_BACKEND / the registry default,
@@ -120,35 +111,28 @@ def run_scaling(smoke=False, shm_workers=None, backend=None):
     cache.distribution_for(model, doc_length)
     calibrate_seconds = time.perf_counter() - started
 
+    kernel = get_backend(backend)
+    resolved = getattr(kernel, "resolved_name", kernel.name)
     rows = []
 
     def measure(label, executor, batch_docs=None):
-        engine = CorpusEngine(executor=executor, calibration=cache,
-                              correction="bh", batch_docs=batch_docs)
-        started = time.perf_counter()
-        result = engine.run_texts(corpus, model, spec)
-        mine_seconds = time.perf_counter() - started
-        row = {
+        with CorpusEngine(executor=executor, calibration=cache,
+                          correction="bh", batch_docs=batch_docs) as engine:
+            started = time.perf_counter()
+            result = engine.run_texts(corpus, model, spec)
+            mine_seconds = time.perf_counter() - started
+            threads = getattr(executor, "threads", None)
+        rows.append({
             "mode": label,
             "workers": getattr(executor, "workers", 1),
+            "threads": threads(backend) if threads is not None else 1,
             "batch_docs": batch_docs,
             "mine_seconds": mine_seconds,
             "docs_per_sec": docs / mine_seconds,
             "significant": result.n_significant,
-        }
-        info = getattr(executor, "last_run_info", None)
-        if info is not None:
-            row["batch_docs"] = info["batch_docs"]
-            row["phases"] = {
-                "pack_seconds": info["pack_seconds"],
-                "mine_seconds": info["mine_seconds"],
-                "aggregate_seconds": info["aggregate_seconds"],
-                "chunks": info["chunks"],
-                "fallback_chunks": info["fallback_chunks"],
-                "published": info["published"],
-            }
-        rows.append(row)
-        return result
+            "cpu_count": os.cpu_count(),
+            "backend_resolved": resolved,
+        })
 
     measure("serial", SerialExecutor())
     # The batched kernel path: same serial executor, chunk-of-documents
@@ -156,17 +140,9 @@ def run_scaling(smoke=False, shm_workers=None, backend=None):
     for batch_docs in batch_sizes:
         measure(f"serial-batch{batch_docs}", SerialExecutor(),
                 batch_docs=batch_docs)
-    for workers in process_workers:
-        measure(f"process-{workers}", ProcessExecutor(workers=workers))
-    # The zero-copy shared-memory path: pack + publish once, persistent
-    # workers mine batch_docs-document chunks, compact arrays back.
-    shm_batch = SMOKE_SHM_BATCH_DOCS if smoke else SHM_BATCH_DOCS
-    for workers in shm_workers:
-        measure(
-            f"workers-shm{workers}",
-            SharedMemoryExecutor(workers=workers, batch_docs=shm_batch),
-            batch_docs=shm_batch,
-        )
+    # The thread tier: one document per task on a persistent pool.
+    for workers in threads:
+        measure(f"workers-thread{workers}", ThreadExecutor(workers))
 
     serial_rate = rows[0]["docs_per_sec"]
     best_serial_batch = max(
@@ -178,7 +154,6 @@ def run_scaling(smoke=False, shm_workers=None, backend=None):
         row["speedup_vs_serial_batch"] = (
             row["docs_per_sec"] / best_serial_batch
         )
-    kernel = get_backend(backend)
     meta = {
         "docs": docs,
         "doc_length": doc_length,
@@ -186,7 +161,7 @@ def run_scaling(smoke=False, shm_workers=None, backend=None):
         "smoke": smoke,
         "backend": kernel.name,
         # differs from "backend" when native fell back to numpy
-        "backend_resolved": getattr(kernel, "resolved_name", kernel.name),
+        "backend_resolved": resolved,
     }
     return calibrate_seconds, rows, meta
 
@@ -202,9 +177,10 @@ def emit_json(calibrate_seconds, rows, meta):
             "note": "calibration cache pre-warmed once; every mode row "
                     "times the mine phase only; serial-batch* rows run "
                     "the corpus-batched kernel path (batch_docs); "
-                    "workers-shm* rows run the zero-copy shared-memory "
-                    "executor and break their pipeline out per row under "
-                    "'phases'",
+                    "workers-thread* rows mine one document per task on "
+                    "a persistent thread pool ('threads' is how many "
+                    "actually mined: one unless the backend resolved to "
+                    "native)",
         },
         "results": rows,
     }
@@ -221,14 +197,14 @@ def _render(calibrate_seconds, rows, meta, emit):
          f"{', smoke' if meta['smoke'] else ''}):")
     emit(f"calibrate phase (pre-warmed, shared): {calibrate_seconds:.3f}s "
          f"({meta['calibration_trials']} trials)")
-    header = (f"{'mode':>14}  {'workers':>7}  {'batch':>5}  {'mine s':>8}  "
+    header = (f"{'mode':>15}  {'threads':>7}  {'batch':>5}  {'mine s':>8}  "
               f"{'docs/sec':>9}  {'speedup':>8}")
     emit(header)
     emit("-" * len(header))
     for row in rows:
         batch = row.get("batch_docs")
         emit(
-            f"{row['mode']:>14}  {row['workers']:>7}  "
+            f"{row['mode']:>15}  {row['threads']:>7}  "
             f"{'-' if batch is None else batch:>5}  "
             f"{row['mine_seconds']:>8.3f}"
             f"  {row['docs_per_sec']:>9.1f}  {row['speedup_vs_serial']:>7.2f}x"
@@ -245,24 +221,22 @@ def test_engine_scaling(benchmark, reporter):
     # correctness-side assertions only; speedup depends on available cores
     assert all(row["significant"] == rows[0]["significant"] for row in rows)
     assert all(row["docs_per_sec"] > 0 for row in rows)
-    assert any(row["mode"].startswith("workers-shm") for row in rows)
-    shm_rows = [row for row in rows if row["mode"].startswith("workers-shm")]
-    assert all(row["phases"]["fallback_chunks"] == 0 for row in shm_rows)
-    # every shm row must actually publish and fan out (several chunks)
-    assert all(row["phases"]["published"] for row in shm_rows)
-    assert all(row["phases"]["chunks"] > 1 for row in shm_rows)
+    thread_rows = [
+        row for row in rows if row["mode"].startswith("workers-thread")
+    ]
+    assert thread_rows
     assert calibrate_seconds > 0
     if (os.cpu_count() or 1) >= 2:
-        # With real cores behind the workers, the shared-memory rows
-        # must beat both plain serial (by a wide margin) and the best
-        # serial-batch row -- the "make --workers actually win" gate.
-        best_shm = max(row["docs_per_sec"] for row in shm_rows)
+        # With real cores behind the threads, the thread rows must beat
+        # both plain serial (by a wide margin) and the best serial-batch
+        # row -- the "make --workers actually win" gate.
+        best_thread = max(row["docs_per_sec"] for row in thread_rows)
         best_serial_batch = max(
             row["docs_per_sec"] for row in rows
             if row["mode"].startswith("serial-batch")
         )
-        assert best_shm >= 1.5 * rows[0]["docs_per_sec"]
-        assert best_shm > best_serial_batch
+        assert best_thread >= 1.5 * rows[0]["docs_per_sec"]
+        assert best_thread > best_serial_batch
 
 
 def main(argv=None):
@@ -271,8 +245,8 @@ def main(argv=None):
                         help="small fast corpus (the CI bench-smoke variant)")
     parser.add_argument("--workers", type=int, action="append", default=None,
                         metavar="N",
-                        help="shared-memory worker count(s) for the "
-                             "workers-shm rows (repeatable; default 2 and 4)")
+                        help="thread count(s) for the workers-thread rows "
+                             "(repeatable; default 2 and 4)")
     parser.add_argument("--backend", default=None, metavar="NAME",
                         help="kernel backend for every row (python, numpy, "
                              "native); default: REPRO_BACKEND or native "
@@ -280,7 +254,7 @@ def main(argv=None):
                              "fallback without a C compiler)")
     args = parser.parse_args(argv)
     calibrate_s, rows, meta = run_scaling(
-        smoke=args.smoke, shm_workers=args.workers, backend=args.backend
+        smoke=args.smoke, threads=args.workers, backend=args.backend
     )
     _render(calibrate_s, rows, meta, lambda line="": print(line, file=sys.stdout))
     print(f"JSON written to {emit_json(calibrate_s, rows, meta)}")

@@ -79,7 +79,6 @@ SERVE_ARGS = [
     "--alphabet", "ab",
     "--workers", "1",
     "--batch-docs", "32",
-    "--linger-ms", "2",
     "--max-pending", "256",
 ]
 

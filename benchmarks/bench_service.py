@@ -11,10 +11,12 @@ each over its own keep-alive connection) fire single-document mine
 requests at an in-process :class:`~repro.service.app.MiningService`;
 each client count runs twice:
 
-* ``batch-off`` -- ``batch_docs=1``, no linger: every request is its
-  own engine pass, the no-batching control;
-* ``batch-on``  -- ``batch_docs=32`` with a 2 ms linger: concurrent
-  requests coalesce into shared ``mine_batch`` kernel calls.
+* ``batch-off`` -- ``batch_docs=1``: every request is its own engine
+  pass, the no-batching control;
+* ``batch-on``  -- ``batch_docs=32``, natural batching: the batcher
+  dispatches as soon as its mining lane is idle, and requests that
+  arrived during the previous mine coalesce into one shared
+  ``mine_batch`` kernel call.
 
 Reported per row: sustained docs/sec over the timed window and the
 pooled request-latency p50/p99 -- measured twice, once by the clients'
@@ -35,8 +37,8 @@ to ``tools/check_metrics.py`` to prove the exposition stays parseable.
 
 Honest measurement notes:
 
-* every client performs ``WARMUP`` untimed requests first, so pool
-  spin-up, backend resolution and import costs stay out of the window;
+* every client performs ``WARMUP`` untimed requests first, so backend
+  resolution and import costs stay out of the window;
 * responses are bit-identical to a direct ``CorpusEngine.run`` whatever
   the batching mode (that is a *test* -- ``tests/service`` -- not a
   benchmark claim);
@@ -48,12 +50,16 @@ Run directly (``python benchmarks/bench_service.py``, ``--smoke`` for
 the fast CI variant) or through pytest
 (``pytest benchmarks/bench_service.py``).
 
-``--fault SPEC`` (e.g. ``--fault worker_crash:0.3``) switches to the
-chaos smoke: a ``REPRO_FAULTS`` spec is injected, multi-chunk batches
-are driven through a 2-worker pool, and the run fails unless every
-response stayed bit-identical to a direct engine run *and* the injected
-fault actually bit (nonzero ``repro_shm_fallback_chunks_total`` for
-worker-facing faults).  CI's ``chaos-smoke`` job runs exactly this.
+``--fault SPEC`` (e.g. ``--fault mine_delay_ms:50,disk_cache_corrupt``)
+switches to the chaos smoke: a ``REPRO_FAULTS`` spec is injected into a
+calibrated 2-thread service over a pre-warmed disk calibration store,
+and the run fails unless every response without a deadline stayed
+bit-identical to a direct engine run *and* each injected fault actually
+bit: ``mine_delay_ms`` must time out the short-deadline probes
+(nonzero ``repro_requests_timed_out_total``), ``disk_cache_corrupt``
+must quarantine a stored entry (nonzero
+``repro_calibration_events_total{event="disk_corrupt"}``).  CI's
+``chaos-smoke`` job runs exactly this.
 """
 
 import argparse
@@ -61,23 +67,29 @@ import json
 import os
 import statistics
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 from repro.core.model import BernoulliModel
-from repro.engine import CorpusEngine
-from repro.faults import FAULTS_ENV, reset_faults
+from repro.engine import CalibrationCache, CorpusEngine
+from repro.faults import FAULTS_ENV, FaultRegistry, reset_faults
 from repro.generators import generate_null_string
 from repro.kernels import get_backend
-from repro.service import MiningService, ServiceClient, ServiceThread
+from repro.service import (
+    DiskCalibrationCache,
+    MiningService,
+    ServiceClient,
+    ServiceError,
+    ServiceThread,
+)
 
 DOC_LENGTH = 600
 CLIENT_COUNTS = [1, 4, 8]
 REQUESTS_PER_CLIENT = 40
 WARMUP = 5
 BATCH_DOCS = 32
-LINGER_SECONDS = 0.002
 
 SMOKE_DOC_LENGTH = 300
 SMOKE_CLIENT_COUNTS = [2]
@@ -102,7 +114,7 @@ def build_documents(count, doc_length):
 
 
 def run_scenario(label, clients, requests_per_client, warmup, doc_length,
-                 batch_docs, linger_seconds, backend=None):
+                 batch_docs, backend=None):
     """One (client count, batching mode) row: serve, load, measure."""
     documents = build_documents(clients * (requests_per_client + warmup),
                                 doc_length)
@@ -111,7 +123,6 @@ def run_scenario(label, clients, requests_per_client, warmup, doc_length,
         workers=1,
         batch_docs=batch_docs,
         max_pending_docs=max(64, 4 * clients),
-        linger_seconds=linger_seconds,
         backend=backend,
     )
     latencies_by_client = [[] for _ in range(clients)]
@@ -176,7 +187,6 @@ def run_scenario(label, clients, requests_per_client, warmup, doc_length,
         "clients": clients,
         "batching": batch_docs > 1,
         "batch_docs": batch_docs,
-        "linger_ms": linger_seconds * 1000.0,
         "requests": total_requests,
         "window_seconds": window_seconds,
         "docs_per_second": total_requests / window_seconds,
@@ -203,13 +213,10 @@ def run_service_load(smoke=False, backend=None):
     rows = []
     metrics_text = ""
     for clients in client_counts:
-        for label, batch_docs, linger in (
-            ("batch-off", 1, 0.0),
-            ("batch-on", BATCH_DOCS, LINGER_SECONDS),
-        ):
+        for label, batch_docs in (("batch-off", 1), ("batch-on", BATCH_DOCS)):
             metrics_text, row = run_scenario(
                 f"{label}-c{clients}", clients, requests_per_client, warmup,
-                doc_length, batch_docs, linger, backend=backend,
+                doc_length, batch_docs, backend=backend,
             )
             rows.append(row)
     comparison = []
@@ -223,6 +230,10 @@ def run_service_load(smoke=False, backend=None):
             "p50_ratio": on["p50_ms"] / off["p50_ms"],
         })
     kernel = get_backend(backend)
+    resolved = getattr(kernel, "resolved_name", kernel.name)
+    for row in rows:
+        row["cpu_count"] = os.cpu_count()
+        row["backend_resolved"] = resolved
     meta = {
         "doc_length": doc_length,
         "requests_per_client": requests_per_client,
@@ -230,7 +241,7 @@ def run_service_load(smoke=False, backend=None):
         "smoke": smoke,
         "backend": kernel.name,
         # differs from "backend" when native fell back to numpy
-        "backend_resolved": getattr(kernel, "resolved_name", kernel.name),
+        "backend_resolved": resolved,
         "metrics_text": metrics_text,
     }
     return rows, comparison, meta
@@ -256,7 +267,8 @@ def emit_json(rows, comparison, meta):
         "note": "closed-loop clients sending 1-document mine requests over "
                 "keep-alive HTTP to an in-process MiningService (workers=1); "
                 "batch-on coalesces concurrent requests into batch_docs-"
-                "sized mine_batch kernel calls, batch-off is the per-request "
+                "sized mine_batch kernel calls as soon as the mining lane is "
+                "idle (no linger), batch-off is the per-request "
                 "control; batching_speedup is the PR 5 acceptance metric at "
                 ">= 4 clients",
         "results": rows,
@@ -338,22 +350,25 @@ def test_service_load(benchmark, reporter):
     )
 
 
-#: Chaos smoke shape: requests of FAULT_DOCS documents against a
-#: batch_docs=FAULT_BATCH_DOCS engine produce FAULT_DOCS/FAULT_BATCH_DOCS
-#: chunks per batch -- multiple chunks is what routes work through the
-#: worker pool so injected worker faults can actually bite.
+#: Chaos smoke shape: FAULT_ROUNDS requests of FAULT_DOCS documents
+#: through a 2-thread service with a FAULT_BATCH_DOCS batch target and
+#: a FAULT_TRIALS-trial disk calibration store.
 FAULT_DOCS = 16
 FAULT_BATCH_DOCS = 4
 FAULT_ROUNDS = 6
+FAULT_TRIALS = 20
 
 
-def _metric_total(metrics_text, name):
-    """Sum every sample of one family in a Prometheus exposition."""
+def _metric_total(metrics_text, name, labels=""):
+    """Sum every sample of one family (whose labels contain ``labels``)
+    in a Prometheus exposition."""
     total = 0.0
     for line in metrics_text.splitlines():
         if line.startswith(name) and not line.startswith("#"):
             head = line.split(" ")[0]
-            if head == name or head.startswith(name + "{"):
+            if (head == name or head.startswith(name + "{")) and (
+                labels in head
+            ):
                 total += float(line.rsplit(" ", 1)[1])
     return total
 
@@ -361,84 +376,110 @@ def _metric_total(metrics_text, name):
 def run_fault_smoke(fault_spec, emit=print):
     """The chaos smoke: mine under ``REPRO_FAULTS=fault_spec``.
 
-    Drives ``FAULT_ROUNDS`` multi-chunk batches through a 2-worker
-    service while the fault fires, then checks the two resilience
-    claims end to end: every response is bit-identical to a direct
-    ``CorpusEngine.run`` of the same documents, and (for worker-facing
-    faults) ``repro_shm_fallback_chunks_total`` is nonzero -- the fault
-    actually bit and the fallback path absorbed it.  The final metrics
-    scrape is saved to ``results/metrics_fault_smoke.txt``, the trace
-    sink to ``results/trace_fault_smoke.jsonl`` and the profiler's
-    collapsed stacks to ``results/profile_fault_smoke.txt`` -- CI
-    uploads all three when the job fails, so a chaos failure arrives
-    with its traces attached.
+    Each of ``FAULT_ROUNDS`` rounds sends one request without a
+    deadline, which must be bit-identical to a direct calibrated
+    ``CorpusEngine.run`` of the same documents, and -- when
+    ``mine_delay_ms`` is injected -- one probe whose ``timeout_ms`` is
+    half the stall, which must be answered 504.  Each injected fault
+    must bite: ``mine_delay_ms`` on ``repro_requests_timed_out_total``,
+    ``disk_cache_corrupt`` on
+    ``repro_calibration_events_total{event="disk_corrupt"}`` (the store
+    is pre-warmed so the service reads its entries from disk).  The
+    final metrics scrape is saved to ``results/metrics_fault_smoke.txt``,
+    the trace sink to ``results/trace_fault_smoke.jsonl`` and the
+    profiler's collapsed stacks to ``results/profile_fault_smoke.txt``
+    -- CI uploads all three when the job fails, so a chaos failure
+    arrives with its traces attached.
 
     Returns the number of hard failures (0 = pass).
     """
+    sites = FaultRegistry.from_spec(fault_spec).sites
+    delay_ms = sites.get("mine_delay_ms", 0.0)
     previous = os.environ.get(FAULTS_ENV)
-    os.environ[FAULTS_ENV] = fault_spec
-    reset_faults()
     RESULTS_DIR.mkdir(exist_ok=True)
     trace_path = RESULTS_DIR / "trace_fault_smoke.jsonl"
     trace_path.unlink(missing_ok=True)  # the sink appends; start clean
-    try:
-        documents = build_documents(FAULT_DOCS, SMOKE_DOC_LENGTH)
-        expected = [
-            {k: v for k, v in doc.payload(include_timing=False).items()
-             if k != "elapsed_seconds"}
-            for doc in CorpusEngine().run_texts(documents, MODEL).documents
-        ]
-        service = MiningService(
-            MODEL,
-            workers=2,
-            batch_docs=FAULT_BATCH_DOCS,
-            linger_seconds=0.0,
-            trace_log=str(trace_path),
-        )
-        mismatches = 0
-        with ServiceThread(service) as handle:
-            with ServiceClient(*handle.address, timeout=120.0) as client:
-                for _ in range(FAULT_ROUNDS):
-                    response = client.mine(texts=documents)
-                    got = [
-                        {k: v for k, v in doc.items()
-                         if k != "elapsed_seconds"}
-                        for doc in response["results"]
-                    ]
-                    if got != expected:
-                        mismatches += 1
-                metrics_text = client.metrics()
-                health = client.healthz()
-                profile_text = service.profiler.collapsed()
-        fallbacks = _metric_total(metrics_text,
-                                  "repro_shm_fallback_chunks_total")
-        (RESULTS_DIR / "metrics_fault_smoke.txt").write_text(metrics_text)
-        (RESULTS_DIR / "profile_fault_smoke.txt").write_text(profile_text)
-        emit(f"Chaos smoke (REPRO_FAULTS={fault_spec}): "
-             f"{FAULT_ROUNDS} rounds x {FAULT_DOCS} docs, "
-             f"fallback_chunks={fallbacks:.0f}, "
-             f"breaker={health.get('pool_breaker', {}).get('state', 'n/a')}, "
-             f"mismatches={mismatches}")
-        failures = mismatches
-        if mismatches:
-            emit(f"FAIL: {mismatches} response(s) diverged from the direct "
-                 f"engine run under fault injection", file=sys.stderr)
-        worker_facing = any(
-            site in fault_spec
-            for site in ("worker_crash", "pool_start_fail")
-        )
-        if worker_facing and fallbacks <= 0:
-            failures += 1
-            emit("FAIL: injected worker fault never produced a fallback "
-                 "chunk (repro_shm_fallback_chunks_total == 0)",
-                 file=sys.stderr)
-        return failures
-    finally:
-        if previous is None:
-            os.environ.pop(FAULTS_ENV, None)
-        else:
-            os.environ[FAULTS_ENV] = previous
+    documents = build_documents(FAULT_DOCS, SMOKE_DOC_LENGTH)
+    expected = [
+        {k: v for k, v in doc.payload(include_timing=False).items()
+         if k != "elapsed_seconds"}
+        for doc in CorpusEngine(
+            calibration=CalibrationCache(trials=FAULT_TRIALS, seed=0)
+        ).run_texts(documents, MODEL).documents
+    ]
+    with tempfile.TemporaryDirectory() as store:
+        DiskCalibrationCache(
+            store, trials=FAULT_TRIALS, seed=0
+        ).distribution_for(MODEL, SMOKE_DOC_LENGTH)
+        os.environ[FAULTS_ENV] = fault_spec
         reset_faults()
+        try:
+            service = MiningService(
+                MODEL,
+                workers=2,
+                batch_docs=FAULT_BATCH_DOCS,
+                calibration=DiskCalibrationCache(
+                    store, trials=FAULT_TRIALS, seed=0
+                ),
+                trace_log=str(trace_path),
+            )
+            mismatches = late = 0
+            with ServiceThread(service) as handle:
+                with ServiceClient(*handle.address, timeout=120.0) as client:
+                    for _ in range(FAULT_ROUNDS):
+                        response = client.mine(texts=documents)
+                        got = [
+                            {k: v for k, v in doc.items()
+                             if k != "elapsed_seconds"}
+                            for doc in response["results"]
+                        ]
+                        if got != expected:
+                            mismatches += 1
+                        if delay_ms > 0:
+                            try:
+                                client.mine(
+                                    texts=documents[:1],
+                                    timeout_ms=max(1, int(delay_ms / 2)),
+                                )
+                                late += 1  # answered despite the stall
+                            except ServiceError as exc:
+                                if exc.status != 504:
+                                    late += 1
+                    metrics_text = client.metrics()
+                    profile_text = service.profiler.collapsed()
+        finally:
+            if previous is None:
+                os.environ.pop(FAULTS_ENV, None)
+            else:
+                os.environ[FAULTS_ENV] = previous
+            reset_faults()
+    timed_out = _metric_total(metrics_text, "repro_requests_timed_out_total")
+    corrupt = _metric_total(
+        metrics_text, "repro_calibration_events_total", 'event="disk_corrupt"'
+    )
+    (RESULTS_DIR / "metrics_fault_smoke.txt").write_text(metrics_text)
+    (RESULTS_DIR / "profile_fault_smoke.txt").write_text(profile_text)
+    emit(f"Chaos smoke (REPRO_FAULTS={fault_spec}): "
+         f"{FAULT_ROUNDS} rounds x {FAULT_DOCS} docs, "
+         f"timed_out={timed_out:.0f}, disk_corrupt={corrupt:.0f}, "
+         f"mismatches={mismatches}, late={late}")
+    failures = mismatches + late
+    if mismatches:
+        emit(f"FAIL: {mismatches} response(s) diverged from the direct "
+             f"engine run under fault injection", file=sys.stderr)
+    if late:
+        emit(f"FAIL: {late} probe(s) shorter than the mine stall were not "
+             f"answered 504", file=sys.stderr)
+    if "mine_delay_ms" in sites and timed_out <= 0:
+        failures += 1
+        emit("FAIL: the injected mine stall never timed a request out "
+             "(repro_requests_timed_out_total == 0)", file=sys.stderr)
+    if "disk_cache_corrupt" in sites and corrupt <= 0:
+        failures += 1
+        emit("FAIL: the injected corruption never quarantined an entry "
+             '(repro_calibration_events_total{event="disk_corrupt"} == 0)',
+             file=sys.stderr)
+    return failures
 
 
 def main(argv=None):
@@ -450,8 +491,8 @@ def main(argv=None):
         default=None,
         metavar="SPEC",
         help="run the chaos smoke instead: a REPRO_FAULTS spec, e.g. "
-             "worker_crash:0.3 (asserts bit-identical responses and a "
-             "nonzero fallback-chunk metric)",
+             "mine_delay_ms:50,disk_cache_corrupt (asserts bit-identical "
+             "responses and that every injected fault bit)",
     )
     parser.add_argument(
         "--backend", default=None, metavar="NAME",

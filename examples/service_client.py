@@ -42,7 +42,7 @@ def main():
                       "threshold": 8.0, "limit": 3},
     }
 
-    service = MiningService(model, batch_docs=16, linger_seconds=0.005)
+    service = MiningService(model, batch_docs=16)
     responses = {}
 
     def call(tenant):

@@ -33,7 +33,7 @@ their own subpackages:
   correction (:class:`CorpusEngine`).
 * :mod:`repro.service` -- the async mining service over the engine
   (``repro-mss serve``): request micro-batching, a persistent
-  shared-memory worker pool, deterministic backpressure, and a
+  mining thread pool, deterministic backpressure, and a
   disk-backed calibration cache for zero-trial warm restarts.
 * :mod:`repro.kernels` -- pluggable scan/calibration kernel backends
   (compiled ``"native"`` default, vectorised ``"numpy"`` -- which the

@@ -18,7 +18,7 @@ generator for experimenting:
   (Bonferroni / Benjamini-Hochberg), via :mod:`repro.engine`.
 * ``serve``      -- run the async mining service (:mod:`repro.service`):
   JSON/HTTP ``POST /mine`` with request micro-batching, a persistent
-  shared-memory worker pool, deterministic 429 backpressure, and an
+  pool of mining threads, deterministic 429 backpressure, and an
   optional disk-backed calibration cache (``--calibrate``).
 * ``route``      -- run the shard router (:mod:`repro.router`): spawn
   ``--shards N`` serve processes (or front ``--upstream`` ones) behind
@@ -235,7 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--limit", type=int, default=1000,
                        help="cap on reported substrings per document")
     batch.add_argument("--workers", type=int, default=1,
-                       help="parallel workers (1 = serial)")
+                       help="mining threads, one document per task on the "
+                            "native kernels (1 = serial; other backends "
+                            "mine on one thread)")
     batch.add_argument(
         "--batch-docs",
         type=int,
@@ -243,13 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="mine documents N at a time through one kernel call per batch "
              "(identical results; amortises per-document dispatch)",
-    )
-    batch.add_argument(
-        "--executor",
-        choices=["serial", "thread", "process", "shm"],
-        default=None,
-        help="fan-out strategy (default: shm -- zero-copy shared-memory "
-             "workers -- when --workers > 1)",
     )
     batch.add_argument(
         "--correction",
@@ -296,8 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: uniform)",
     )
     serve.add_argument("--workers", type=int, default=1,
-                       help="persistent mining worker processes "
-                            "(1 = in-process serial)")
+                       help="persistent mining threads, one document per "
+                            "task on the native kernels (1 = serial; a "
+                            "numpy or python backend mines on one thread)")
     serve.add_argument(
         "--batch-docs",
         type=int,
@@ -322,13 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of --max-pending any one tenant (null model) may "
              "hold queued; beyond it that tenant gets 429 while others "
              "keep being admitted (default 1.0 = no per-tenant cap)",
-    )
-    serve.add_argument(
-        "--linger-ms",
-        type=float,
-        default=2.0,
-        help="how long a batch waits for companion requests (0 = "
-             "dispatch eagerly)",
     )
     serve.add_argument(
         "--default-timeout-ms",
@@ -480,13 +469,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated null probabilities matching "
                             "--alphabet")
     route.add_argument("--workers", type=int, default=1,
-                       help="mining worker processes per shard")
+                       help="mining threads per shard (see serve)")
     route.add_argument("--batch-docs", type=int, default=32, metavar="N",
                        help="per-shard micro-batch target")
     route.add_argument("--max-pending", type=int, default=1024,
                        metavar="DOCS", help="per-shard backpressure bound")
-    route.add_argument("--linger-ms", type=float, default=2.0,
-                       help="per-shard batch coalescing window")
     route.add_argument("--tenant-fair-share", type=float, default=1.0,
                        metavar="FRACTION",
                        help="per-shard per-tenant quota (see serve)")
@@ -700,7 +687,8 @@ def _run_batch(args: argparse.Namespace) -> int:
         CalibrationCache,
         CorpusEngine,
         JobSpec,
-        resolve_executor,
+        SerialExecutor,
+        ThreadExecutor,
     )
 
     ids, texts = _read_corpus(args.input)
@@ -729,9 +717,11 @@ def _run_batch(args: argparse.Namespace) -> int:
         limit=args.limit,
         backend=args.backend,
     )
-    executor_name = args.executor or ("shm" if args.workers > 1 else "serial")
     engine = CorpusEngine(
-        executor=resolve_executor(executor_name, workers=args.workers),
+        executor=(
+            ThreadExecutor(args.workers) if args.workers > 1
+            else SerialExecutor()
+        ),
         calibration=(
             CalibrationCache(
                 trials=args.trials, seed=args.seed, backend=args.backend
@@ -743,7 +733,8 @@ def _run_batch(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         batch_docs=args.batch_docs,
     )
-    result = engine.run_texts(texts, model, spec, ids=ids)
+    with engine:
+        result = engine.run_texts(texts, model, spec, ids=ids)
 
     if args.json:
         json.dump(result.payload(), sys.stdout, indent=2)
@@ -786,8 +777,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         raise SystemExit("--tenant-fair-share must be in (0, 1]")
     if args.calib_cache_entries is not None and args.calib_cache_entries < 1:
         raise SystemExit("--calib-cache-entries must be >= 1")
-    if args.linger_ms < 0:
-        raise SystemExit("--linger-ms must be >= 0")
     if args.default_timeout_ms is not None and args.default_timeout_ms < 1:
         raise SystemExit("--default-timeout-ms must be >= 1")
     if args.drain_timeout < 0:
@@ -823,7 +812,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         batch_docs=args.batch_docs,
         max_pending_docs=args.max_pending,
-        linger_seconds=args.linger_ms / 1000.0,
         tenant_fair_share=args.tenant_fair_share,
         correction=args.correction,
         alpha=args.alpha,
@@ -860,7 +848,6 @@ def _shard_serve_args(args: argparse.Namespace) -> list[str]:
         "--workers", str(args.workers),
         "--batch-docs", str(args.batch_docs),
         "--max-pending", str(args.max_pending),
-        "--linger-ms", str(args.linger_ms),
         "--tenant-fair-share", str(args.tenant_fair_share),
         "--correction", args.correction,
         "--alpha", str(args.alpha),

@@ -12,26 +12,17 @@ once.  This subsystem is that layer:
   picklable per-document unit of work and :func:`run_job_batch` the
   batched one (a chunk of documents through a single kernel
   ``mine_batch`` call -- see ``CorpusEngine(batch_docs=...)``).
-* :mod:`repro.engine.executors` -- pluggable fan-out:
-  :class:`SerialExecutor`, :class:`ThreadExecutor`, and chunked
-  :class:`ProcessExecutor`, all order-preserving (parallel results are
-  identical to serial).
-* :mod:`repro.engine.shm` -- :class:`SharedMemoryExecutor`, the
-  multi-core mining path: each (spec, model) group's documents are
-  encoded once into flat arrays published via
-  ``multiprocessing.shared_memory``, and a :class:`WorkerPool` whose
-  workers attach blocks per task (by name) mines
-  ``batch_docs``-document chunks through the kernel ``mine_batch``
-  call, returning compact result arrays.  The pool's lifetime is
-  decoupled from runs -- ``persistent=True`` keeps it alive across
-  corpora for service workloads (:mod:`repro.service`).  This is the
-  executor ``repro-mss batch --workers N`` uses by default.
-* :mod:`repro.engine.deadline` / :mod:`repro.engine.supervisor` -- the
-  resilience primitives: request :class:`Deadline` objects tunnelled to
-  executors via a contextvar (expired batches stop mining between chunk
-  dispatches with :class:`DeadlineExceeded`), and the
-  :class:`PoolSupervisor` circuit breaker that stops pool restart churn
-  after consecutive failures (open -> half-open probe -> closed).
+* :mod:`repro.engine.executors` -- how a job list is mined:
+  :class:`SerialExecutor` on the calling thread, or
+  :class:`ThreadExecutor`, a persistent thread pool that mines one
+  document per task on the GIL-free native kernels (and on one thread
+  for every other backend).  Both are order-preserving (parallel
+  results are identical to serial); ``repro-mss batch --workers N`` and
+  ``serve --workers N`` use the thread pool.
+* :mod:`repro.engine.deadline` -- request :class:`Deadline` objects
+  tunnelled to executors via a contextvar: an expired batch stops
+  before its next kernel call (or per-document task) with
+  :class:`DeadlineExceeded`.
 * :mod:`repro.engine.calibration` -- :class:`CalibrationCache` memoizes
   the Monte-Carlo X²max null distribution per (model, length-bucket) so
   the whole corpus shares a handful of simulations.
@@ -63,14 +54,7 @@ from repro.engine.corrections import (
     benjamini_hochberg,
     bonferroni,
 )
-from repro.engine.executors import (
-    ProcessExecutor,
-    SerialExecutor,
-    SharedMemoryExecutor,
-    ThreadExecutor,
-    WorkerPool,
-    resolve_executor,
-)
+from repro.engine.executors import SerialExecutor, ThreadExecutor
 from repro.engine.jobs import (
     PROBLEMS,
     DocumentResult,
@@ -80,8 +64,6 @@ from repro.engine.jobs import (
     run_job,
     run_job_batch,
 )
-from repro.engine.shm import pack_jobs
-from repro.engine.supervisor import PoolSupervisor
 
 __all__ = [
     "CorpusEngine",
@@ -91,21 +73,15 @@ __all__ = [
     "active_deadline",
     "set_active_deadline",
     "reset_active_deadline",
-    "PoolSupervisor",
     "MiningJob",
     "JobSpec",
     "DocumentResult",
     "ordered_scan",
     "run_job",
     "run_job_batch",
-    "pack_jobs",
     "PROBLEMS",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
-    "SharedMemoryExecutor",
-    "WorkerPool",
-    "resolve_executor",
     "CalibrationCache",
     "length_bucket",
     "model_fingerprint",

@@ -17,8 +17,8 @@ document.  Two observations make it affordable at corpus scale:
 :class:`~repro.analysis.calibration.MSSNullDistribution` per
 ``(model, length_bucket(n))`` key, computed on first request and reused
 for every later document -- across threads too (a lock guards the dict).
-The cache lives in the driver process; worker processes only mine, so
-the expensive simulation is never duplicated across the pool.
+The cache lives in the engine's process and mining threads share it, so
+the expensive simulation is never duplicated across them.
 
 Bucketing is conservative in the useful direction: the bucket length is
 ``>= n``, X²max grows stochastically with ``n``, so bucketed p-values are

@@ -7,9 +7,9 @@ tickers, sports analysis over many series -- all under one shared null
 model.  :class:`CorpusEngine` takes a batch of
 :class:`~repro.engine.jobs.MiningJob` values and
 
-1. fans them out through a pluggable executor
-   (:mod:`repro.engine.executors`) -- serial, thread pool, or process
-   pool with chunked dispatch;
+1. mines them through a pluggable executor
+   (:mod:`repro.engine.executors`) -- serial, or a thread pool over the
+   GIL-free native kernels;
 2. optionally replaces each document's asymptotic p-value with the
    Monte-Carlo family-wise p-value from a shared
    :class:`~repro.engine.calibration.CalibrationCache` (one simulation
@@ -37,13 +37,8 @@ from repro.core.results import ScanStats
 from repro.engine.calibration import CalibrationCache
 from repro.engine.corrections import CORRECTIONS, adjust_p_values
 from repro.engine.executors import SerialExecutor
-from repro.engine.jobs import (
-    DocumentResult,
-    JobSpec,
-    MiningJob,
-    run_job,
-    run_job_batch,
-)
+from repro.engine.jobs import DocumentResult, JobSpec, MiningJob
+from repro.kernels import resolved_backend_name
 from repro.obs.metrics import MetricsRegistry, default_registry
 
 __all__ = ["CorpusEngine", "CorpusResult"]
@@ -146,9 +141,9 @@ class CorpusEngine:
     Parameters
     ----------
     executor:
-        Any object with ``map(fn, items) -> list`` preserving input
-        order (see :mod:`repro.engine.executors`).  Defaults to
-        :class:`SerialExecutor`.
+        Any object with ``run_jobs(jobs, *, batch_docs)`` returning one
+        result per job in job order (see :mod:`repro.engine.executors`).
+        Defaults to :class:`SerialExecutor`.
     calibration:
         A :class:`CalibrationCache` to turn each document's X²max into a
         Monte-Carlo family-wise p-value.  ``None`` keeps the asymptotic
@@ -163,16 +158,17 @@ class CorpusEngine:
         When set, documents are mined ``batch_docs`` at a time through
         one kernel ``mine_batch`` call per batch
         (:func:`~repro.engine.jobs.run_job_batch`) instead of one call
-        per document -- the executor then fans out batches, not
-        documents.  Results are identical either way (enforced by the
+        per document.  Results are identical either way (enforced by the
         engine tests); per-document kernel dispatch is amortised, which
         is a large serial win on corpora of small documents (see
         ``benchmarks/bench_engine_scaling.py``).  ``None`` (default)
-        keeps per-document dispatch.
+        keeps per-document dispatch.  A
+        :class:`~repro.engine.executors.ThreadExecutor` on the
+        native kernels always mines one document per task.
     metrics:
         The :class:`~repro.obs.metrics.MetricsRegistry` mine/finalize
-        timings and document counts are reported into.  ``None`` (the
-        default) uses the process-wide
+        timings, document counts and X² evaluation counts are reported
+        into.  ``None`` (the default) uses the process-wide
         :func:`~repro.obs.metrics.default_registry`; a service injects
         its own so ``/metrics`` reflects only that service's work.
 
@@ -278,23 +274,9 @@ class CorpusEngine:
         )
         started = time.perf_counter()
         try:
-            if hasattr(self.executor, "run_jobs"):
-                # Corpus-owning executors (the shared-memory path) take
-                # the whole job list: they pack documents into shared
-                # memory up front and pick their own chunking when
-                # batch_docs is None.
-                return self.executor.run_jobs(job_list, batch_docs=batch_docs)
-            if batch_docs is None:
-                return self.executor.map(run_job, job_list)
-            chunks = [
-                job_list[i : i + batch_docs]
-                for i in range(0, len(job_list), batch_docs)
-            ]
-            return [
-                doc
-                for chunk in self.executor.map(run_job_batch, chunks)
-                for doc in chunk
-            ]
+            documents = self.executor.run_jobs(
+                job_list, batch_docs=batch_docs
+            )
         finally:
             self.metrics.histogram(
                 "repro_engine_mine_seconds",
@@ -304,6 +286,33 @@ class CorpusEngine:
                 "repro_engine_docs_mined_total",
                 "Documents mined by the engine",
             ).inc(len(job_list))
+        self._count_evaluations(job_list, documents)
+        return documents
+
+    def _count_evaluations(self, jobs, documents) -> None:
+        """Add a pass's X² evaluations to the per-backend counter."""
+        names = {
+            backend: resolved_backend_name(backend)
+            for backend in {job.spec.backend for job in jobs}
+        }
+        evaluated: dict[str, int] = {}
+        for job, doc in zip(jobs, documents):
+            name = names[job.spec.backend]
+            evaluated[name] = (
+                evaluated.get(name, 0) + doc.stats.substrings_evaluated
+            )
+        counter = self.evaluation_counter()
+        for name, count in evaluated.items():
+            counter.labels(backend=name).inc(count)
+
+    def evaluation_counter(self):
+        """The ``repro_kernel_x2_evaluations_total{backend}`` family:
+        X² evaluations (the paper's cost measure) per resolved backend."""
+        return self.metrics.counter(
+            "repro_kernel_x2_evaluations_total",
+            "X2 evaluations by the scan kernels, by resolved backend",
+            labelnames=("backend",),
+        )
 
     def finalize(
         self,
@@ -381,13 +390,13 @@ class CorpusEngine:
         return correction, alpha
 
     def close(self) -> None:
-        """Release executor resources (worker pools); idempotent.
+        """Release executor resources (thread pools); idempotent.
 
-        A persistent :class:`~repro.engine.shm.SharedMemoryExecutor`
-        keeps its process pool alive across runs -- this is how a
-        long-running service lets it go.  Executors without a ``close``
-        (serial, thread) make this a no-op, and the engine stays usable
-        either way (pools restart lazily on the next run).
+        A :class:`~repro.engine.executors.ThreadExecutor` keeps its
+        threads alive across runs -- this is how a long-running service
+        lets them go.  Executors without a ``close`` (serial) make this
+        a no-op, and the engine stays usable either way (the pool
+        restarts lazily on the next run).
         """
         close = getattr(self.executor, "close", None)
         if close is not None:

@@ -13,15 +13,15 @@ places where shedding is cheap and results stay bit-identical:
   is completed with 504 *instead of* mined, and because mining is
   batch-composition-invariant its surviving batchmates still get
   bit-identical results;
-* between chunk dispatches in
-  :class:`~repro.engine.shm.SharedMemoryExecutor` -- a whole batch
-  whose deadline passed mid-run stops mining further chunks and raises
+* in the executors (:mod:`repro.engine.executors`), before each kernel
+  call or per-document task -- a whole batch whose deadline passed
+  mid-run stops mining further documents and raises
   :class:`DeadlineExceeded`.
 
-The executor learns the active batch deadline the same way it learns
-trace ids: through a contextvar set around the ``mine_documents`` call
-(:func:`set_active_deadline`), so ``CorpusEngine.mine_documents`` keeps
-its signature and test fakes keep working.
+The executor learns the active batch deadline through a contextvar set
+around the ``mine_documents`` call (:func:`set_active_deadline`), so
+``CorpusEngine.mine_documents`` keeps its signature and test fakes keep
+working.
 
 Examples
 --------
@@ -90,9 +90,8 @@ _ACTIVE_DEADLINE: contextvars.ContextVar[Deadline | None] = (
 def set_active_deadline(deadline: Deadline | None):
     """Install ``deadline`` for executors below this frame; returns a token.
 
-    Mirrors :func:`repro.obs.tracing.set_active_trace_ids` -- the
-    batcher wraps its ``engine.mine_documents`` call so the executor
-    can shed expired work without a signature change.
+    The batcher wraps its ``engine.mine_documents`` call so the
+    executor can shed expired work without a signature change.
     """
     return _ACTIVE_DEADLINE.set(deadline)
 

@@ -4,9 +4,8 @@ The corpus engine decomposes a workload into :class:`MiningJob` values --
 each pairs a document with a :class:`JobSpec` (which of the paper's four
 problems to run, and its parameters) and the corpus-wide
 :class:`~repro.core.model.BernoulliModel`.  Jobs are plain picklable
-dataclasses so they can be shipped to worker processes unchanged, and
-:func:`run_job` is a module-level function so ``ProcessPoolExecutor`` can
-dispatch it.
+dataclasses, and :func:`run_job` is the module-level unit of work the
+executors dispatch.
 
 The per-document outcome is a :class:`DocumentResult`: the mined
 substrings, the scan's work counters, and a per-document p-value that the
@@ -63,8 +62,8 @@ class JobSpec:
     backend:
         Kernel backend *name* (see :mod:`repro.kernels`); ``None``
         defers to ``REPRO_BACKEND`` / the default.  Kept as a string so
-        jobs stay picklable and each worker process resolves its own
-        backend instance.
+        jobs stay plain, hashable values and every run resolves the
+        backend (and any fallback) itself.
 
     Examples
     --------
@@ -248,7 +247,7 @@ class DocumentResult:
 
 
 def run_job(job: MiningJob) -> DocumentResult:
-    """Mine one job (module-level so process pools can pickle it)."""
+    """Mine one job: the executors' per-document unit of work."""
     substrings, stats, truncated = job.spec.mine(job.text, job.model)
     best_p = substrings[0].p_value if substrings else 1.0
     return DocumentResult(
@@ -269,10 +268,9 @@ def ordered_scan(spec, raw, n):
     wrappers report substrings: sentinel entries filtered, sorted by
     ``(-X², start)`` for top-t and threshold scans, the single best pair
     for mss / minlength.  This is the one place that ordering rule
-    lives -- :func:`run_job_batch` and the shared-memory workers
-    (:mod:`repro.engine.shm`) both build their
-    :class:`DocumentResult` values from it, which is what keeps the two
-    paths bit-identical.
+    lives -- :func:`run_job_batch` builds its :class:`DocumentResult`
+    values from it, which is what keeps the batched path bit-identical
+    to the per-document one.
     """
     problem = spec.problem
     truncated = False
@@ -340,7 +338,7 @@ def run_job_batch(jobs: Sequence[MiningJob]) -> list[DocumentResult]:
     (the common case -- :meth:`CorpusEngine.run_texts` corpora share one
     of each) are encoded, indexed, and handed to the backend's
     ``mine_batch`` as a single call, amortising per-document kernel
-    dispatch.  Module-level so process pools can pickle it.
+    dispatch.
 
     The results are identical to ``[run_job(job) for job in jobs]`` --
     scores, intervals, counters and orderings, enforced by the engine

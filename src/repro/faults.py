@@ -1,12 +1,11 @@
 """Deterministic fault injection for chaos testing the serving stack.
 
 A :class:`FaultRegistry` holds a small set of *named fault sites* that
-production code queries at well-chosen points -- a shared-memory worker
-about to mine a chunk, the batcher thread about to call the engine, the
-disk calibration cache about to trust a file it just read.  Faults are
-configured from the environment::
+production code queries at well-chosen points -- the batcher thread
+about to call the engine, the disk calibration cache about to trust a
+file it just read.  Faults are configured from the environment::
 
-    REPRO_FAULTS=worker_crash:0.5,mine_delay_ms:200,disk_cache_corrupt
+    REPRO_FAULTS=mine_delay_ms:200,disk_cache_corrupt:0.5
 
 Each comma-separated entry is ``name`` (fire always) or ``name:value``.
 For probabilistic sites the value is a firing probability in ``[0, 1]``;
@@ -21,17 +20,16 @@ configured probability.  Re-running the same process with the same
 same fault schedule -- chaos tests assert on outcomes, not on luck.
 
 The registry is intentionally tiny and dependency-free: it is imported
-by shared-memory *worker processes* (which re-parse their inherited
-environment on first use), the batcher thread, and the disk cache.  The
-earlier one-off ``REPRO_SHM_TEST_CRASH`` env hook is replaced by the
-``worker_crash`` site.
+by the batcher thread and the disk cache, and a spawned ``serve``
+process (a router shard) re-parses its inherited environment on first
+use.
 
 Examples
 --------
 >>> registry = FaultRegistry.from_spec("mine_delay_ms:250", seed=7)
 >>> registry.param("mine_delay_ms")
 250.0
->>> registry.should_fire("worker_crash")
+>>> registry.should_fire("disk_cache_corrupt")
 False
 """
 
@@ -57,15 +55,9 @@ FAULTS_SEED_ENV = "REPRO_FAULTS_SEED"
 #: ``REPRO_FAULTS`` is a configuration typo and raises immediately.
 KNOWN_FAULTS = frozenset(
     {
-        # A shared-memory worker exits hard (os._exit) before mining a
-        # chunk -- exercises the per-chunk in-process fallback path.
-        "worker_crash",
         # The batcher's mine thread sleeps this many milliseconds before
         # mining a batch -- exercises deadline expiry while queued.
         "mine_delay_ms",
-        # WorkerPool.ensure_started behaves as if the pool cannot start
-        # -- exercises the serial fallback and the circuit breaker.
-        "pool_start_fail",
         # DiskCalibrationCache treats a freshly read entry as corrupt --
         # exercises quarantine-and-resimulate.
         "disk_cache_corrupt",
@@ -93,10 +85,10 @@ class FaultRegistry:
 
     Examples
     --------
-    >>> faults = FaultRegistry.from_spec("worker_crash:1.0")
-    >>> faults.should_fire("worker_crash")
+    >>> faults = FaultRegistry.from_spec("disk_cache_corrupt:1.0")
+    >>> faults.should_fire("disk_cache_corrupt")
     True
-    >>> faults.fired("worker_crash")
+    >>> faults.fired("disk_cache_corrupt")
     1
     """
 
@@ -120,8 +112,8 @@ class FaultRegistry:
     def from_spec(cls, spec: str, *, seed: int = 0) -> "FaultRegistry":
         """Parse a ``REPRO_FAULTS``-style spec string.
 
-        >>> FaultRegistry.from_spec("worker_crash:0.5,mine_delay_ms:200").sites
-        {'worker_crash': 0.5, 'mine_delay_ms': 200.0}
+        >>> FaultRegistry.from_spec("disk_cache_corrupt:0.5,mine_delay_ms:200").sites
+        {'disk_cache_corrupt': 0.5, 'mine_delay_ms': 200.0}
         """
         sites: dict[str, float] = {}
         for entry in spec.split(","):
@@ -204,8 +196,8 @@ def get_faults() -> FaultRegistry:
     Returns the registry installed by :func:`configure_faults` if any;
     otherwise parses ``REPRO_FAULTS`` / ``REPRO_FAULTS_SEED`` from the
     environment, caching the result until either string changes.  The
-    env path is what lets shared-memory worker processes (which inherit
-    ``os.environ``) see the same faults as their parent, and what makes
+    env path is what lets spawned ``serve`` processes (which inherit
+    ``os.environ``) see the faults their launcher set, and what makes
     ``monkeypatch.setenv`` in tests take effect without plumbing.
     """
     global _cached_key, _cached
@@ -235,8 +227,8 @@ def configure_faults(registry: FaultRegistry | None) -> None:
 
     ``configure_faults(None)`` is equivalent to :func:`reset_faults`.
     An explicitly configured registry wins over the environment until
-    reset -- but note it does *not* reach spawned worker processes;
-    use the env vars for faults that must fire inside pool workers.
+    reset -- but note it does *not* reach spawned processes; use the
+    env vars for faults that must fire inside a router's shards.
     """
     global _configured
     with _STATE_LOCK:

@@ -121,6 +121,7 @@ __all__ = [
     "available_backends",
     "get_backend",
     "register_backend",
+    "resolved_backend_name",
 ]
 
 #: Environment variable consulted when no explicit backend is given.
@@ -182,6 +183,20 @@ def get_backend(backend=None):
     raise TypeError(
         f"backend must be a name or a backend instance, got {backend!r}"
     )
+
+
+def resolved_backend_name(backend=None) -> str:
+    """The name of the backend that actually runs ``backend``'s kernels.
+
+    Same as :func:`get_backend`'s ``name`` except for ``native``, which
+    reports ``"numpy"`` once it has fallen back (no compiler and no
+    cached artifact).  The first call for ``native`` loads the library.
+
+    >>> resolved_backend_name("python")
+    'python'
+    """
+    kernel = get_backend(backend)
+    return getattr(kernel, "resolved_name", kernel.name)
 
 
 register_backend(PythonBackend())

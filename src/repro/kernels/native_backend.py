@@ -20,10 +20,14 @@ flags, and an ABI tag::
     ~/.cache/repro-mss/native/<hash>/mss_kernels.so
 
 Compiles go through a temp file + ``os.replace`` so concurrent
-processes never load a half-written artifact, and a worker process
-forked or spawned by the engine resolves ``"native"`` by *loading the
-parent's cached artifact* -- no compiler is needed once the artifact
-exists, which is also why a warm cache survives ``CC=/nonexistent``.
+processes never load a half-written artifact, and a later process (a
+router's shards, a restarted service) resolves ``"native"`` by *loading
+the cached artifact* -- no compiler is needed once the artifact exists,
+which is also why a warm cache survives ``CC=/nonexistent``.
+
+The C source has no mutable globals and ctypes releases the GIL for
+every call, so threads may run the kernels side by side
+(:class:`~repro.engine.executors.ThreadExecutor`).
 
 The flags are ``-O2 -ffp-contract=off`` and deliberately **not**
 ``-ffast-math``: contraction or reassociation would change results in
@@ -183,8 +187,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
 
 
 #: Per-artifact-path load results, shared by every NativeBackend instance
-#: in the process (and by calibration worker processes, which re-enter
-#: through :func:`_require_lib` and load the same cached artifact).
+#: in the process.
 _LOAD_CACHE: dict[str, tuple[ctypes.CDLL | None, str | None]] = {}
 _LOAD_LOCK = threading.Lock()
 
@@ -227,9 +230,8 @@ def _load_library() -> tuple[ctypes.CDLL | None, str | None]:
 
 
 def _require_lib() -> ctypes.CDLL:
-    """The loaded library, or ``RuntimeError`` -- used by worker-process
-    entry points where a load failure must surface as an exception the
-    calibration driver's in-process fallback can catch."""
+    """The loaded library, or ``RuntimeError`` for module-level entry
+    points that run without a :class:`NativeBackend` instance."""
     lib, reason = _load_library()
     if lib is None:
         raise RuntimeError(f"native kernels unavailable: {reason}")
@@ -245,12 +247,9 @@ def _model_arrays(model) -> tuple[np.ndarray, np.ndarray]:
 def _native_x2max_chunk(sub, n, k, probabilities):
     """X²max of each row of one ``(t, n)`` chunk, via the native library.
 
-    Module-level and stateless (like the numpy backend's
-    ``_x2max_chunk``) so the shared calibration driver can ship chunks
-    to worker processes; a worker resolves the library through the same
-    compile cache as the parent, so it reuses the parent's artifact and
-    never recompiles.  Raises ``RuntimeError`` when the library cannot
-    load, which the driver answers with an in-process rescan.
+    Module-level and stateless, like the numpy backend's
+    ``_x2max_chunk``, so the shared calibration driver can call either.
+    Raises ``RuntimeError`` when the library cannot load.
     """
     lib = _require_lib()
     sub = np.ascontiguousarray(sub, dtype=np.int64)
@@ -552,8 +551,7 @@ class NativeBackend:
     def simulate_x2max(self, model, n, trials, seed):
         """Monte-Carlo X²max samples through the shared chunked driver
         (draws stay sequential in the driver; the per-chunk prefix build
-        and scans run in C), bit-identical to the reference at any
-        ``REPRO_CALIB_WORKERS`` count."""
+        and scans run in C), bit-identical to the reference."""
         self._ensure()
         if self._lib is None:
             return self._numpy.simulate_x2max(model, n, trials, seed)

@@ -53,10 +53,8 @@ lanes -- the identity the commit paths use.
 
 from __future__ import annotations
 
-import concurrent.futures
 import heapq
 import math
-import os
 
 import numpy as np
 
@@ -71,13 +69,6 @@ from repro.kernels.python_backend import (
 )
 
 __all__ = ["NumpyBackend"]
-
-#: Environment variable selecting how many worker processes the numpy
-#: backend's Monte-Carlo calibration fans its trial chunks over.  Unset
-#: or ``1`` keeps the simulation in-process; ``auto`` uses every core.
-#: Samples are bit-identical at any worker count (chunks are drawn from
-#: the RNG stream up front, in order, and only the scans parallelise).
-CALIB_WORKERS_ENV = "REPRO_CALIB_WORKERS"
 
 #: Rows walked by the scalar reference before vectorising: the pruning
 #: bound does most of its climbing in the first (shortest) rows, and a
@@ -401,8 +392,8 @@ def _sweep(n, top_row, e_offset, lane_pass, scalar_row, find_update_rows):
 def _x2max_chunk(sub, n, k, probabilities):
     """X²max of each row of one ``(t, n)`` chunk of encoded null draws.
 
-    Module-level (and free of backend state) so calibration can ship
-    chunks to worker processes; see ``NumpyBackend.simulate_x2max``.
+    Module-level and free of backend state, like the native backend's
+    chunk function; see ``NumpyBackend.simulate_x2max``.
     """
     t = sub.shape[0]
     width = n + 1
@@ -443,94 +434,24 @@ def _x2max_chunk(sub, n, k, probabilities):
     return best.tolist()
 
 
-def _calibration_workers() -> int:
-    """Worker-process count for calibration, from :data:`CALIB_WORKERS_ENV`."""
-    raw = os.environ.get(CALIB_WORKERS_ENV, "").strip()
-    if not raw:
-        return 1
-    if raw.lower() == "auto":
-        return os.cpu_count() or 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _simulate_chunked(chunk_fn, model, n, trials, seed):
     """Shared Monte-Carlo driver: chunked draws, pluggable chunk scans.
 
     ``chunk_fn(sub, n, k, probabilities)`` scores one ``(t, n)`` chunk of
-    encoded null draws and returns its per-trial X²max list; it must be
-    module-level (picklable) so chunks can ship to worker processes.
-    Both the numpy and native backends run their ``simulate_x2max``
-    through this driver, which owns the two properties the contract
-    cares about:
-
-    * draws happen here, sequentially, from the one RNG stream -- in
-      memory-bounded chunks that consume the ``Generator`` exactly as
-      ``trials`` sequential length-``n`` draws would -- so samples are
-      bit-identical to the reference at any worker count;
-    * with ``REPRO_CALIB_WORKERS`` set, chunk scans fan out over a
-      process pool with a bounded in-flight window (the serial path's
-      :data:`_CALIB_CHUNK_ELEMS` peak-memory bound times the worker
-      count), falling back to an in-process rescan of the retained draw
-      when a worker dies or the pool cannot start.
+    encoded null draws and returns its per-trial X²max list.  Both the
+    numpy and native backends run their ``simulate_x2max`` through this
+    driver.  Draws happen here, sequentially, from the one RNG stream --
+    in memory-bounded chunks that consume the ``Generator`` exactly as
+    ``trials`` sequential length-``n`` draws would -- so samples are
+    bit-identical to the reference.
     """
     rng = resolve_rng(seed)
     k = model.k
     probabilities = model.probabilities
     p_arr = np.asarray(probabilities)
     chunk = max(1, _CALIB_CHUNK_ELEMS // (k * (n + 1)))
-    starts = range(0, trials, chunk)
-    workers = _calibration_workers()
     samples: list[float] = []
-    if workers > 1 and len(starts) > 1:
-        window = min(workers, len(starts))
-        try:
-            pool_cm = concurrent.futures.ProcessPoolExecutor(
-                max_workers=window
-            )
-        except OSError:
-            pool_cm = None  # no draws consumed yet: serial path below
-
-        def finish(entry):
-            # Collect one chunk's samples; if its worker died (or the
-            # pool never started -- sandboxed environments), rescan
-            # the retained draw in-process.  Either way the samples
-            # are the draw's, so the stream stays bit-identical.
-            future, sub = entry
-            if future is not None:
-                try:
-                    return future.result()
-                except (OSError, RuntimeError):
-                    pass
-            return chunk_fn(sub, n, k, probabilities)
-
-        # Draws stay sequential in the driver (one RNG stream); each
-        # drawn chunk is retained alongside its future until its
-        # result lands, and at most 2 * window chunks are in flight --
-        # the serial path's peak-memory bound times the worker count,
-        # not the trial count.
-        if pool_cm is not None:
-            in_flight: list = []
-            with pool_cm as pool:
-                for start in starts:
-                    sub = rng.choice(
-                        k, size=(min(chunk, trials - start), n), p=p_arr
-                    )
-                    try:
-                        future = pool.submit(
-                            chunk_fn, sub, n, k, probabilities
-                        )
-                    except (OSError, RuntimeError):
-                        future = None
-                    in_flight.append((future, sub))
-                    if len(in_flight) >= 2 * window:
-                        samples.extend(finish(in_flight.pop(0)))
-                for entry in in_flight:
-                    samples.extend(finish(entry))
-            return samples
-    for start in starts:
+    for start in range(0, trials, chunk):
         # Chunked draws consume the Generator stream in the same
         # row-major order as one (trials, n) call -- and as the
         # reference backend's per-trial draws -- so chunking bounds
@@ -1332,12 +1253,9 @@ class NumpyBackend:
         maxima matter -- exceedances fold into the per-trial best via a
         scatter-max, with no replay machinery at all.
 
-        Multi-core: set ``REPRO_CALIB_WORKERS`` (an integer, or ``auto``
-        for every core) to fan the trial chunks over a process pool.
-        The chunked-draw/bounded-window mechanics live in the shared
+        The chunked-draw mechanics live in the shared
         :func:`_simulate_chunked` driver (the native backend reuses it
-        with its own chunk function); samples stay bit-identical at any
-        worker count.
+        with its own chunk function).
         """
         return _simulate_chunked(_x2max_chunk, model, n, trials, seed)
 

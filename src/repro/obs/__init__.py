@@ -2,23 +2,20 @@
 
 Six stdlib-only modules, threaded through every layer of the serving
 system (router → HTTP front-end → micro-batcher → corpus engine →
-kernel backends → shared-memory workers):
+mining threads → kernel backends):
 
 * :mod:`repro.obs.metrics` -- a thread-safe registry of counters,
   gauges and histograms; one :meth:`~repro.obs.metrics.MetricsRegistry.
   snapshot` feeds ``GET /stats`` and one :meth:`~repro.obs.metrics.
   MetricsRegistry.render_prometheus` feeds ``GET /metrics``, so both
-  surfaces report the same numbers from one source of truth.  Worker
-  processes accumulate into a picklable
-  :class:`~repro.obs.metrics.LocalMetrics` returned piggybacked on
-  chunk results.
+  surfaces report the same numbers from one source of truth; the
+  mining threads record into it directly.
 * :mod:`repro.obs.tracing` -- per-request
   :class:`~repro.obs.tracing.Trace` span trees (parse → queue-wait →
   batch-mine → kernel → finalize → serialize), *distributed* across
   processes: the router injects ``X-Trace-Id``/``X-Parent-Span`` on
-  proxied requests, the service adopts inbound ids, shm workers ship
-  span intervals home on chunk results, and ``GET /trace/<id>``
-  returns the assembled tree.  Bounded recent/slow rings
+  proxied requests, the service adopts inbound ids, and
+  ``GET /trace/<id>`` returns the assembled tree.  Bounded recent/slow rings
   (:class:`~repro.obs.tracing.TraceRecorder`) keep traces inspectable
   after the fact.
 * :mod:`repro.obs.tracesink` -- head-based sampling
@@ -36,7 +33,7 @@ kernel backends → shared-memory workers):
   gauges, and the enforced fast-burn condition that flips
   ``GET /healthz`` to ``degraded``.
 * :mod:`repro.obs.log` -- JSON-lines structured logging (access log,
-  worker-crash/fallback events, calibration cache events), selectable
+  backend fallback events, calibration cache events), selectable
   via ``repro-mss serve --log-format json|text --log-level``.
 
 See ``docs/ARCHITECTURE.md`` §6 for the metric catalog, the distributed
@@ -49,7 +46,6 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
-    LocalMetrics,
     MetricsRegistry,
     default_registry,
 )
@@ -66,9 +62,7 @@ from repro.obs.tracing import (
     Trace,
     TraceRecorder,
     active_trace,
-    active_trace_ids,
     new_trace_id,
-    set_active_trace_ids,
     valid_trace_id,
 )
 
@@ -78,7 +72,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "LocalMetrics",
     "MetricsRegistry",
     "Objective",
     "SamplingProfiler",
@@ -90,12 +83,10 @@ __all__ = [
     "TraceSampler",
     "TraceSink",
     "active_trace",
-    "active_trace_ids",
     "configure",
     "default_registry",
     "get_logger",
     "new_trace_id",
     "parse_slo_spec",
-    "set_active_trace_ids",
     "valid_trace_id",
 ]

@@ -1,7 +1,7 @@
 """Structured JSON-lines logging for the serving stack.
 
-Every interesting event in the service -- a request served, a worker
-crash falling back in-process, a corrupt calibration entry on disk --
+Every interesting event in the service -- a request served, a native
+backend falling back to numpy, a corrupt calibration entry on disk --
 is emitted through one of these loggers as a flat dict of fields, in
 one of two formats:
 
@@ -99,7 +99,7 @@ class StructuredLogger:
     """Emit structured events at debug/info/warning/error levels.
 
     An event is a short machine-readable name (``"access"``,
-    ``"worker_fallback"``, ``"disk_corrupt"``) plus keyword fields; the
+    ``"native_fallback"``, ``"disk_corrupt"``) plus keyword fields; the
     global :func:`configure` state decides format, level threshold and
     destination.
 

@@ -2,7 +2,7 @@
 
 This is the numeric half of :mod:`repro.obs` -- the single source of
 truth every layer of the serving stack (HTTP front-end, micro-batcher,
-corpus engine, shared-memory workers, calibration caches) reports its
+corpus engine, mining threads, calibration caches) reports its
 counters and timings into.  The same registry backs both introspection
 surfaces of :class:`~repro.service.app.MiningService`:
 
@@ -22,10 +22,9 @@ Design constraints, in order:
    per document or per scan row, so the measured service throughput
    overhead stays under the noise floor (``benchmarks/bench_service.py``
    asserts the service's own histogram agrees with client-side timing).
-3. **No cross-process shared state.**  Worker processes accumulate into
-   a picklable :class:`LocalMetrics` and return it piggybacked on their
-   chunk results; the parent merges (:meth:`LocalMetrics.merge_into`).
-   No shared memory, no extra IPC round-trips.
+3. **One process, one registry.**  Mining threads record into the
+   service's registry directly; across processes the router merges
+   each shard's exposition instead of sharing state.
 
 Histograms use fixed log-spaced buckets (:data:`LATENCY_BUCKETS`,
 powers of two from 0.25 ms to ~2 min) so service latencies from a
@@ -42,14 +41,12 @@ import bisect
 import collections
 import math
 import threading
-from dataclasses import dataclass, field
 
 __all__ = [
     "LATENCY_BUCKETS",
     "Counter",
     "Gauge",
     "Histogram",
-    "LocalMetrics",
     "MetricsRegistry",
     "default_registry",
 ]
@@ -498,49 +495,3 @@ def default_registry() -> MetricsRegistry:
     batch` and ad-hoc engine use are observable without any wiring.
     """
     return _DEFAULT
-
-
-@dataclass
-class LocalMetrics:
-    """A picklable, lock-free metrics accumulator for worker processes.
-
-    Shared-memory mining workers cannot touch the parent's registry (no
-    shared state by design), so each chunk task accumulates into one of
-    these and returns it piggybacked on the chunk's result arrays; the
-    parent calls :meth:`merge_into` while aggregating.  Counters add,
-    histogram observations replay one by one -- merged numbers are
-    exactly what the worker measured.
-
-    Examples
-    --------
-    >>> local = LocalMetrics()
-    >>> local.inc("docs_total", 3)
-    >>> local.observe("kernel_seconds", 0.25)
-    >>> registry = MetricsRegistry()
-    >>> local.merge_into(registry, help={"docs_total": "docs mined"})
-    >>> registry.counter("docs_total").value
-    3.0
-    """
-
-    counters: dict[str, float] = field(default_factory=dict)
-    observations: dict[str, list[float]] = field(default_factory=dict)
-
-    def inc(self, name: str, amount: float = 1.0) -> None:
-        """Add ``amount`` to the local counter called ``name``."""
-        self.counters[name] = self.counters.get(name, 0.0) + amount
-
-    def observe(self, name: str, value: float) -> None:
-        """Record one local histogram observation under ``name``."""
-        self.observations.setdefault(name, []).append(float(value))
-
-    def merge_into(
-        self, registry: MetricsRegistry, help: dict[str, str] | None = None
-    ) -> None:
-        """Fold this accumulator into ``registry`` (parent side)."""
-        help = help or {}
-        for name, amount in self.counters.items():
-            registry.counter(name, help.get(name, "")).inc(amount)
-        for name, values in self.observations.items():
-            histogram = registry.histogram(name, help.get(name, ""))
-            for value in values:
-                histogram.observe(value)

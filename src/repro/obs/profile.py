@@ -66,9 +66,7 @@ _IDLE_LEAVES = frozenset(
 #: the canonical ``POST /mine`` trace.  Scanned leaf-to-root; first hit
 #: wins, so ``kernel`` (innermost) beats ``batch_mine`` (outermost).
 _PHASE_MARKERS: tuple[tuple[str, frozenset[str]], ...] = (
-    ("kernel", frozenset({"mine_batch", "_mine_span", "scan", "wavefront"})),
-    ("shm_pack", frozenset({"pack_jobs", "_publish"})),
-    ("replay", frozenset({"_documents_from_payload", "_aggregate"})),
+    ("kernel", frozenset({"mine_batch", "run_job", "scan", "wavefront"})),
     ("finalize", frozenset({"finalize", "calibrate", "threshold_for"})),
     ("batch_mine", frozenset({"mine_documents", "mine_and_finalize",
                               "run_jobs"})),

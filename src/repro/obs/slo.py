@@ -21,7 +21,7 @@ per objective over *multiple* windows (fast + slow) and:
   window burns past ``fast_burn_threshold`` (the multi-window AND
   suppresses blips) -- the service folds that verdict into
   ``GET /healthz``, where the router's health loop will eject the
-  shard, exactly like a tripped worker-pool breaker.
+  shard.
 
 Errors mean HTTP 5xx: a 4xx is the client's bill, not the service's
 budget.  Latency observations include every terminal status, because a

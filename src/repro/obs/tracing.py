@@ -2,8 +2,8 @@
 
 The serving stack hands a request through four execution contexts --
 the asyncio event loop (parse/serialize), the micro-batcher queue, the
-batcher's mining thread, and (with ``--workers``) shared-memory worker
-processes.  A wall-clock number alone cannot say *where* a slow request
+batcher's mining thread, and (with ``--workers``) the engine's mining
+thread pool.  A wall-clock number alone cannot say *where* a slow request
 spent its time; a :class:`Trace` can: it is an append-only list of
 named :class:`Span` intervals with parent links, built as the request
 flows, rendered as a tree in ``GET /stats?trace=1``.
@@ -14,23 +14,15 @@ The canonical span tree for one ``POST /mine``::
     ├─ parse          JSON decode + validation (event loop or offloaded)
     ├─ queue_wait     submit() -> the batch's mining thread picks it up
     ├─ batch_mine     the shared mine_documents pass (this batch)
-    │  ├─ kernel      this request's share of kernel scan time
-    │  ├─ shm_pack    corpus packing into shared memory   (shm only)
-    │  └─ replay      compact-array match replay           (shm only)
+    │  └─ kernel      this request's share of kernel scan time
     ├─ finalize       calibration + correction for this request
     └─ serialize      payload build + JSON encode
 
-Two mechanisms cross the thread/process boundaries without changing
-any engine call signature (fake engines in the test-suite subclass
-``mine_documents`` and must keep working):
-
-* the batcher carries the :class:`Trace` object itself inside its
-  queue entries and records spans explicitly with :meth:`Trace.add`
-  (safe from any thread -- span storage is lock-guarded);
-* :func:`set_active_trace_ids` / :func:`active_trace_ids` pass the
-  batch's trace ids through a :mod:`contextvars` variable so the
-  shared-memory executor can stamp chunk descriptors without a new
-  parameter threading through ``CorpusEngine.mine_documents``.
+The batcher carries the :class:`Trace` object itself inside its queue
+entries and records spans explicitly with :meth:`Trace.add` (safe from
+any thread -- span storage is lock-guarded), so no engine call
+signature changes (fake engines in the test-suite subclass
+``mine_documents`` and must keep working).
 
 :class:`TraceRecorder` keeps two bounded ring buffers -- the most
 recent traces and the slowest-over-threshold ones -- so a spike can be
@@ -52,9 +44,7 @@ __all__ = [
     "Trace",
     "TraceRecorder",
     "active_trace",
-    "active_trace_ids",
     "new_trace_id",
-    "set_active_trace_ids",
     "valid_trace_id",
 ]
 
@@ -277,12 +267,6 @@ _ACTIVE_TRACE: contextvars.ContextVar[Trace | None] = contextvars.ContextVar(
     "repro_active_trace", default=None
 )
 
-#: Trace ids of the requests whose documents the current mining pass is
-#: carrying (a batch mixes requests, hence a tuple).
-_ACTIVE_TRACE_IDS: contextvars.ContextVar[tuple[str, ...]] = (
-    contextvars.ContextVar("repro_active_trace_ids", default=())
-)
-
 
 def active_trace() -> Trace | None:
     """The trace attached to the current context (``None`` outside one)."""
@@ -292,27 +276,6 @@ def active_trace() -> Trace | None:
 def set_active_trace(trace: Trace | None):
     """Attach ``trace`` to the current context; returns the reset token."""
     return _ACTIVE_TRACE.set(trace)
-
-
-def active_trace_ids() -> tuple[str, ...]:
-    """Trace ids of the batch being mined in this context (may be empty)."""
-    return _ACTIVE_TRACE_IDS.get()
-
-
-def set_active_trace_ids(trace_ids: tuple[str, ...]):
-    """Declare the batch's trace ids for downstream executors.
-
-    Called by the batcher inside its mining thread, *around* the
-    ``mine_documents`` call; the shared-memory executor reads the value
-    back with :func:`active_trace_ids` and stamps it onto its chunk
-    descriptors.  Returns the token for ``ContextVar.reset``.
-    """
-    return _ACTIVE_TRACE_IDS.set(tuple(trace_ids))
-
-
-def reset_active_trace_ids(token) -> None:
-    """Undo a :func:`set_active_trace_ids` (explicit, thread-pool safe)."""
-    _ACTIVE_TRACE_IDS.reset(token)
 
 
 class TraceRecorder:

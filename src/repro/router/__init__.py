@@ -1,7 +1,7 @@
 """Horizontal scale-out: route mining traffic across shard processes.
 
-One :class:`~repro.service.app.MiningService` saturates at one worker
-pool; this package is the ROADMAP's next step -- a reverse proxy that
+One :class:`~repro.service.app.MiningService` saturates at one host's
+mining threads; this package is the ROADMAP's next step -- a reverse proxy that
 makes N such processes look like one, while keeping every response
 bit-identical to a single service (and to a direct
 :meth:`~repro.engine.corpus.CorpusEngine.run`):

@@ -3,7 +3,7 @@
 :class:`RouterService` is a stdlib-asyncio reverse proxy that turns
 "1.8x on one core" (``BENCH_service.json``) into horizontal scale: N
 independent ``repro-mss serve`` processes behind one address, each
-with its own worker pool, micro-batcher and calibration cache.  The
+with its own mining threads, micro-batcher and calibration cache.  The
 paper's per-document mining is embarrassingly shardable -- documents
 never interact -- so the only thing a router must preserve is **batch
 affinity**: requests that the micro-batcher could coalesce must land
@@ -20,7 +20,7 @@ fields, and everything else follows from shards being plain
   pin.
 * **Health ejection.**  A background loop polls every shard's
   ``/healthz``; consecutive connection failures (a dead shard) or a
-  ``degraded`` status (worker-pool breaker open) eject the shard from
+  ``degraded`` status (an enforced SLO fast-burning) eject the shard from
   the ring, re-routing its hash arcs to the survivors.  Ejected shards
   keep being polled and rejoin the moment they report ``ok`` again.
 * **Bounded retry.**  Mining is idempotent, so a connection failure or
@@ -107,7 +107,7 @@ class ShardState:
         self.healthy = True
         #: Last observed health: unknown / ok / degraded / down.
         self.status = "unknown"
-        #: Human detail for /healthz (breaker reason, connect error).
+        #: Human detail for /healthz (degraded reason, connect error).
         self.detail = ""
         self.consecutive_failures = 0
 
@@ -932,7 +932,7 @@ class RouterService:
         The router holds the top of the tree (``route`` + per-attempt
         ``proxy`` spans); the owning shard holds the request's service
         spans (parse -> queue_wait -> batch_mine -> finalize ->
-        serialize, with shm worker children).  This endpoint stitches
+        serialize, with a kernel child).  This endpoint stitches
         them: each shard that recorded the id is fetched live and its
         span tree attached under the router's matching ``proxy`` span.
         Shard span times stay on the shard's own clock (re-based to 0

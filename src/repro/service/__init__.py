@@ -26,7 +26,7 @@ while keeping every per-invocation cost warm across requests.
   stdlib client.
 
 The CLI front-end is ``repro-mss serve`` (see :mod:`repro.cli`); the
-request -> batcher -> pool -> aggregate data flow is documented in
+request -> batcher -> mining threads -> finalize data flow is documented in
 ``docs/ARCHITECTURE.md``.
 """
 

@@ -1,11 +1,11 @@
 """The async mining service: asyncio front-end over the corpus engine.
 
 This is the north-star serving layer: a long-running process that keeps
-every expensive thing warm -- the shared-memory worker pool
-(:class:`~repro.engine.shm.SharedMemoryExecutor` with
-``persistent=True``), the kernel backends, and the calibration null
-distributions (:class:`~repro.service.store.DiskCalibrationCache`, so
-even a *restart* stays warm) -- while a
+every expensive thing warm -- the mining thread pool
+(:class:`~repro.engine.executors.ThreadExecutor`), the kernel backends,
+and the calibration null distributions
+(:class:`~repro.service.store.DiskCalibrationCache`, so even a
+*restart* stays warm) -- while a
 :class:`~repro.service.batcher.MicroBatcher` coalesces concurrent
 requests into batched kernel dispatch.
 
@@ -16,13 +16,12 @@ Endpoints (JSON over a minimal HTTP/1.1 subset, stdlib only):
   full :meth:`~repro.engine.corpus.CorpusResult.payload` and are
   bit-identical to a direct ``CorpusEngine.run`` of the same request.
   Over capacity: ``429`` with a ``Retry-After`` hint.
-* ``GET /healthz`` -- liveness: status, uptime, pool state and the
+* ``GET /healthz`` -- liveness: status, uptime, queue depth and the
   kernel backend that serves (``backend``/``backend_resolved``, plus
   ``backend_fallback_reason`` when ``native`` fell back to numpy);
-  flips to ``degraded`` while the worker-pool breaker is non-closed or
-  an *enforced* SLO fast-burn condition holds (see
-  :mod:`repro.obs.slo`).  A backend fallback alone never degrades it:
-  numpy answers bit-identically, only slower.
+  flips to ``degraded`` while an *enforced* SLO fast-burn condition
+  holds (see :mod:`repro.obs.slo`).  A backend fallback alone never
+  degrades it: numpy answers bit-identically, only slower.
 * ``GET /stats`` -- queue depth, batch fill, cache hit rates, executor
   diagnostics, and the full metrics snapshot; ``GET /stats?trace=1``
   additionally returns the recent/slow request span trees (see
@@ -39,7 +38,7 @@ Endpoints (JSON over a minimal HTTP/1.1 subset, stdlib only):
 
 Observability is wired through a per-service
 :class:`~repro.obs.metrics.MetricsRegistry` shared by the batcher, the
-engine, the executor and the calibration cache; every request gets a
+engine and the calibration cache; every request gets a
 :class:`~repro.obs.tracing.Trace` whose id is echoed in the
 ``X-Trace-Id`` response header (and inside 4xx/5xx error bodies, so a
 failing client can quote it).  A request arriving with a *valid*
@@ -71,8 +70,7 @@ from repro.core.model import BernoulliModel
 from repro.engine.calibration import CalibrationCache
 from repro.engine.corpus import CorpusEngine
 from repro.engine.deadline import Deadline, DeadlineExceeded
-from repro.engine.executors import SerialExecutor, SharedMemoryExecutor
-from repro.engine.shm import DEFAULT_BATCH_DOCS
+from repro.engine.executors import SerialExecutor, ThreadExecutor
 from repro.kernels import get_backend
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
@@ -81,6 +79,7 @@ from repro.obs.slo import SloTracker, parse_slo_spec
 from repro.obs.tracesink import TraceSampler, TraceSink
 from repro.obs.tracing import Trace, TraceRecorder, valid_trace_id
 from repro.service.batcher import (
+    DEFAULT_BATCH_DOCS,
     MicroBatcher,
     RequestTooLarge,
     ServiceDraining,
@@ -116,16 +115,19 @@ class MiningService:
         The service's default null model (requests may override it with
         an explicit ``alphabet``/``probs``).
     workers:
-        Mining worker processes.  ``> 1`` builds a *persistent*
-        :class:`~repro.engine.shm.SharedMemoryExecutor`: its process
-        pool is spawned once (pre-warmed at :meth:`start`) and reused by
-        every batch until :meth:`stop`.
+        Mining threads.  ``> 1`` builds a
+        :class:`~repro.engine.executors.ThreadExecutor` whose pool lives
+        until :meth:`stop` and mines each batch one document per task
+        on the native kernels.  When the backend resolves to numpy or
+        python (a host without a compiler) batches mine on one thread,
+        as with ``workers=1``; ``/stats`` reports the thread count that
+        actually mines (``engine.threads``).
     batch_docs:
         Micro-batch target size (documents per dispatched batch, and
-        the engine's kernel batch size).
-    max_pending_docs / linger_seconds / tenant_fair_share:
-        Backpressure bound, coalescing window and per-tenant fair-share
-        quota -- see :class:`~repro.service.batcher.MicroBatcher`.
+        the engine's kernel batch size when it mines on one thread).
+    max_pending_docs / tenant_fair_share:
+        Backpressure bound and per-tenant fair-share quota -- see
+        :class:`~repro.service.batcher.MicroBatcher`.
     correction / alpha:
         Engine defaults applied when a request does not set its own.
     calibration:
@@ -175,7 +177,6 @@ class MiningService:
         workers: int = 1,
         batch_docs: int = DEFAULT_BATCH_DOCS,
         max_pending_docs: int = 1024,
-        linger_seconds: float = 0.002,
         tenant_fair_share: float = 1.0,
         correction: str = "bh",
         alpha: float = 0.05,
@@ -194,9 +195,7 @@ class MiningService:
             )
         if engine is None:
             executor = (
-                SharedMemoryExecutor(workers=workers, persistent=True)
-                if workers > 1
-                else SerialExecutor()
+                ThreadExecutor(workers) if workers > 1 else SerialExecutor()
             )
             engine = CorpusEngine(
                 executor=executor,
@@ -210,14 +209,12 @@ class MiningService:
         self.default_timeout_ms = default_timeout_ms
         self.drain_timeout = drain_timeout
         self.engine = engine
-        # One registry for the whole service: the batcher, engine,
-        # executor and calibration cache all record into it, so /stats
-        # and GET /metrics describe the same numbers.  Fresh per service
-        # (not the process default) so two services never mix counters.
+        # One registry for the whole service: the batcher, engine and
+        # calibration cache all record into it, so /stats and GET
+        # /metrics describe the same numbers.  Fresh per service (not
+        # the process default) so two services never mix counters.
         self.metrics = MetricsRegistry()
         engine.metrics = self.metrics
-        if hasattr(engine.executor, "metrics"):
-            engine.executor.metrics = self.metrics
         if engine.calibration is not None:
             engine.calibration.metrics = self.metrics
         self.traces = TraceRecorder()
@@ -241,7 +238,6 @@ class MiningService:
             engine,
             batch_docs=batch_docs,
             max_pending_docs=max_pending_docs,
-            linger_seconds=linger_seconds,
             tenant_fair_share=tenant_fair_share,
             metrics=self.metrics,
         )
@@ -290,13 +286,13 @@ class MiningService:
     async def start(
         self, host: str = "127.0.0.1", port: int = 0
     ) -> tuple[str, int]:
-        """Resolve the kernel backend, warm the worker pool, bind, serve.
+        """Resolve the kernel backend, bind, serve.
 
         ``port=0`` binds an ephemeral port.  Returns (and stores on
         :attr:`address`) the actual ``(host, port)`` pair.  A failure
         before serving (port in use, bad host, unknown backend) releases
-        everything started before it -- the batcher dispatcher and the
-        warmed worker pool do not outlive a service that never served.
+        everything started before it -- the batcher dispatcher does not
+        outlive a service that never served.
         A stopped service cannot be restarted (its batcher and mining
         thread are gone): build a new :class:`MiningService` instead.
         """
@@ -310,17 +306,15 @@ class MiningService:
         try:
             # Load (or compile) the native library and run its parity
             # self-check now, off the event loop, instead of on the
-            # first request; pool workers forked below inherit the
-            # loaded library rather than repeating the check.
+            # first request.
             backend = await loop.run_in_executor(None, self.backend_status)
             if backend["backend_resolved"] != backend["backend"]:
                 self._backend_fallbacks.inc()
-            pool = getattr(self.engine.executor, "pool", None)
-            if pool is not None:
-                # Spawn worker processes now, off the request path.
-                # (Before binding: warm() races pool.ensure_started if
-                # a request could arrive concurrently.)
-                await loop.run_in_executor(None, pool.warm)
+            # Created at zero so the family renders (for every shard
+            # behind a router) before the first mined document.
+            self.engine.evaluation_counter().labels(
+                backend=backend["backend_resolved"]
+            )
             self._server = await asyncio.start_server(self._handle, host, port)
         except BaseException:
             await self.batcher.close()
@@ -333,13 +327,13 @@ class MiningService:
         return self.address
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, drain, release the pool.
+        """Graceful shutdown: stop accepting, drain, release the threads.
 
         In-flight and already-queued requests complete and are answered;
         new submissions (and new requests arriving on parked keep-alive
         connections) are answered 503 with ``Connection: close`` while
         draining.  Idle keep-alive connections are then dropped, and
-        finally the engine's persistent worker pool is shut down.  The
+        finally the engine's mining thread pool is shut down.  The
         flush wait is bounded by ``drain_timeout`` seconds.
         """
         self._draining = True
@@ -387,6 +381,7 @@ class MiningService:
     def stats(self) -> dict:
         """JSON-ready service metrics (the ``GET /stats`` payload)."""
         executor = self.engine.executor
+        threads = getattr(executor, "threads", None)
         data = {
             "uptime_seconds": (
                 time.monotonic() - self._started_at
@@ -397,6 +392,7 @@ class MiningService:
             "engine": {
                 "executor": getattr(executor, "name", type(executor).__name__),
                 "workers": getattr(executor, "workers", 1),
+                "threads": threads(self.backend) if threads is not None else 1,
                 **self.backend_status(),
                 "batch_docs": self.engine.batch_docs,
                 "correction": self.engine.correction,
@@ -419,20 +415,6 @@ class MiningService:
             },
             "metrics": self.metrics.snapshot(),
         }
-        pool = getattr(executor, "pool", None)
-        if pool is not None:
-            data["engine"]["pool"] = {
-                "started": pool.started,
-                "starts": pool.starts,
-                "persistent": getattr(executor, "persistent", False),
-            }
-        last_run = getattr(executor, "last_run_info", None)
-        if last_run is not None:
-            data["engine"]["last_run"] = {
-                key: value
-                for key, value in last_run.items()
-                if key != "shm_names"
-            }
         if self.engine.calibration is not None:
             data["calibration"] = self.engine.calibration.summary()
         return data
@@ -441,15 +423,10 @@ class MiningService:
         """JSON-ready liveness payload (the ``GET /healthz`` body).
 
         ``status`` is ``"ok"`` while everything is healthy and
-        ``"degraded"`` (with a ``reason``) while either the worker-pool
-        circuit breaker is anything but closed -- the service still
-        answers correctly, just slower (serial mining) -- or an
-        *enforced* SLO objective is fast-burning its error budget
-        (see :class:`~repro.obs.slo.SloTracker`; behind the router a
-        degraded report ejects the shard from rotation, which is the
-        point).  When the executor has a breaker its full
-        :meth:`~repro.engine.supervisor.PoolSupervisor.status` rides
-        along under ``"pool_breaker"``.
+        ``"degraded"`` (with a ``reason``) while an *enforced* SLO
+        objective is fast-burning its error budget (see
+        :class:`~repro.obs.slo.SloTracker`; behind the router a degraded
+        report ejects the shard from rotation, which is the point).
 
         The :meth:`backend_status` fields ride along too.  A backend
         fallback is visible there (and on
@@ -468,24 +445,10 @@ class MiningService:
             "queue_depth_docs": self.batcher.queue_depth_docs,
             **self.backend_status(),
         }
-        supervisor = getattr(self.engine.executor, "supervisor", None)
-        if supervisor is not None:
-            breaker = supervisor.status()
-            data["pool_breaker"] = breaker
-            if breaker["state"] != "closed":
-                data["status"] = "degraded"
-                data["reason"] = (
-                    f"worker-pool breaker {breaker['state']}"
-                    + (f": {breaker['reason']}" if breaker["reason"] else "")
-                )
         slo_reason = self.slo.degraded()
         if slo_reason is not None:
             data["status"] = "degraded"
-            data["reason"] = (
-                f"{data['reason']}; {slo_reason}"
-                if "reason" in data
-                else slo_reason
-            )
+            data["reason"] = slo_reason
         return data
 
     # ------------------------------------------------------------------
@@ -581,8 +544,8 @@ class MiningService:
     def render_metrics(self) -> str:
         """The ``GET /metrics`` body: Prometheus text exposition 0.0.4.
 
-        Point-in-time gauges (uptime, queue depth, breaker state, SLO
-        burn rates) are refreshed at scrape time; everything else is
+        Point-in-time gauges (uptime, queue depth, SLO burn rates) are
+        refreshed at scrape time; everything else is
         already live in the registry.
         """
         self.slo.refresh(self.metrics)
@@ -592,13 +555,6 @@ class MiningService:
             else 0.0
         )
         self._queue_gauge.set(float(self.batcher.queue_depth_docs))
-        supervisor = getattr(self.engine.executor, "supervisor", None)
-        if supervisor is not None:
-            self.metrics.gauge(
-                "repro_pool_breaker_state",
-                "Worker-pool circuit breaker state "
-                "(0 closed, 1 open, 2 half-open)",
-            ).set(supervisor.state_code())
         return self.metrics.render_prometheus()
 
     async def _route(

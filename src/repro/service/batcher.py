@@ -12,14 +12,16 @@ documents one or two at a time, spread across many concurrent clients.
    *immediately* with :class:`ServiceOverloaded` (HTTP 429 +
    ``Retry-After``), never silently delayed.
 2. A single dispatcher coroutine drains the queue into batches of up to
-   ``batch_docs`` documents, lingering ``linger_seconds`` after the
-   first arrival so concurrent requests can coalesce (set 0 to
-   dispatch eagerly).
+   ``batch_docs`` documents as soon as its mining lane is idle.  There
+   is no timer: requests that arrive while a batch mines queue up and
+   form the next batch together, and requests submitted together share
+   one batch.
 3. Each batch is grouped by the requests' ``(spec, model)`` key and
    mined through **one**
    :meth:`~repro.engine.corpus.CorpusEngine.mine_documents` call on a
-   dedicated worker thread (the engine below fans out to its persistent
-   shared-memory pool); the event loop stays responsive throughout.
+   dedicated mining thread (the engine below mines its documents on a
+   persistent thread pool over the GIL-free native kernels); the event
+   loop stays responsive throughout.
 4. Each request's slice of the mined documents is then
    :meth:`~repro.engine.corpus.CorpusEngine.finalize`-d separately --
    calibration and the multiple-testing correction run across *that
@@ -48,22 +50,22 @@ from repro.engine.deadline import (
     set_active_deadline,
 )
 from repro.engine.jobs import MiningJob
-from repro.engine.shm import DEFAULT_BATCH_DOCS
 from repro.faults import get_faults
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import (
-    Trace,
-    reset_active_trace_ids,
-    set_active_trace_ids,
-)
+from repro.obs.tracing import Trace
 from repro.service.protocol import MineRequest
 
 __all__ = [
+    "DEFAULT_BATCH_DOCS",
     "MicroBatcher",
     "RequestTooLarge",
     "ServiceDraining",
     "ServiceOverloaded",
 ]
+
+#: Documents per dispatched batch (and per kernel call when the engine
+#: mines on one thread) unless the engine or the service picks another.
+DEFAULT_BATCH_DOCS = 32
 
 #: Document-count buckets for the batch-fill histogram (how full each
 #: dispatched batch was, in documents).
@@ -128,17 +130,14 @@ class MicroBatcher:
     ----------
     engine:
         The :class:`~repro.engine.corpus.CorpusEngine` to drive.  For a
-        service this is built over a *persistent*
-        :class:`~repro.engine.shm.SharedMemoryExecutor`, so batch after
-        batch reuses one worker pool.
+        service with ``workers > 1`` this is built over a
+        :class:`~repro.engine.executors.ThreadExecutor`, so batch after
+        batch reuses one thread pool.
     batch_docs:
         Target documents per dispatched batch (a single request larger
         than this still rides in one batch of its own).
     max_pending_docs:
         Bound on queued documents; the backpressure knob.
-    linger_seconds:
-        How long the dispatcher waits after the first queued request
-        for companions to arrive.  ``0`` disables coalescing delay.
     tenant_fair_share:
         Fraction of ``max_pending_docs`` a single tenant (requests
         sharing a :attr:`~repro.service.protocol.MineRequest.tenant_key`,
@@ -165,7 +164,6 @@ class MicroBatcher:
         *,
         batch_docs: int | None = None,
         max_pending_docs: int = 1024,
-        linger_seconds: float = 0.002,
         tenant_fair_share: float = 1.0,
         metrics: MetricsRegistry | None = None,
     ) -> None:
@@ -177,10 +175,6 @@ class MicroBatcher:
             raise ValueError(
                 f"max_pending_docs must be >= 1, got {max_pending_docs!r}"
             )
-        if linger_seconds < 0:
-            raise ValueError(
-                f"linger_seconds must be >= 0, got {linger_seconds!r}"
-            )
         if not 0.0 < tenant_fair_share <= 1.0:
             raise ValueError(
                 f"tenant_fair_share must be in (0, 1], got "
@@ -189,7 +183,6 @@ class MicroBatcher:
         self.engine = engine
         self.batch_docs = batch_docs
         self.max_pending_docs = max_pending_docs
-        self.linger_seconds = linger_seconds
         self.tenant_fair_share = tenant_fair_share
         #: Queued-document bound per tenant key (>= 1 so every tenant
         #: can always queue at least a one-document request).
@@ -206,8 +199,8 @@ class MicroBatcher:
         self._wakeup: asyncio.Event | None = None
         self._task: asyncio.Task | None = None
         self._closing = False
-        # One mining thread: batches are serialised here on purpose --
-        # parallelism lives *inside* the engine (its worker pool), and a
+        # One mining lane: batches are serialised here on purpose --
+        # parallelism lives *inside* the engine (its thread pool), and a
         # single lane keeps dispatch order deterministic.
         self._mine_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-mine"
@@ -383,9 +376,8 @@ class MicroBatcher:
         rejected counter.
 
         When a :class:`~repro.obs.tracing.Trace` is supplied, the
-        batcher appends queue-wait, batch-mine (with kernel / shm
-        children) and finalize spans to it as the request moves through
-        the pipeline.
+        batcher appends queue-wait, batch-mine (with a kernel child) and
+        finalize spans to it as the request moves through the pipeline.
         """
         if request.docs > self.max_pending_docs:
             raise RequestTooLarge(
@@ -474,7 +466,6 @@ class MicroBatcher:
             "tenant_fair_share": self.tenant_fair_share,
             "tenant_cap_docs": self.tenant_cap_docs,
             "tenants_queued": len(self._tenant_docs),
-            "linger_seconds": self.linger_seconds,
             "queue_depth_docs": self._queued_docs,
             "in_flight_docs": self._in_flight_docs,
             "mine_seconds": self.mine_seconds,
@@ -486,7 +477,11 @@ class MicroBatcher:
     # ------------------------------------------------------------------
 
     async def _dispatch_loop(self) -> None:
-        """Drain the queue into batches until closed *and* empty."""
+        """Drain the queue into batches until closed *and* empty.
+
+        A batch is taken as soon as the lane is idle: whatever queued
+        while the previous batch mined rides together in the next.
+        """
         loop = asyncio.get_running_loop()
         while True:
             while not self._queue and not self._closing:
@@ -494,12 +489,6 @@ class MicroBatcher:
                 await self._wakeup.wait()
             if not self._queue:
                 return  # closing and drained
-            if (
-                self.linger_seconds > 0
-                and self._queued_docs < self.batch_docs
-                and not self._closing
-            ):
-                await asyncio.sleep(self.linger_seconds)
             batch = self._take_batch()
             if batch:
                 await self._run_batch(loop, batch)
@@ -556,7 +545,7 @@ class MicroBatcher:
     async def _run_batch(self, loop, batch: list[_Pending]) -> None:
         """Mine *and finalize* one batch off-loop; resolve each request.
 
-        Finalize runs on the same worker thread as the mining pass --
+        Finalize runs on the same mining thread as the mining pass --
         it can trigger a cold Monte-Carlo calibration simulation (plus
         a disk write, for :class:`~repro.service.store.
         DiskCalibrationCache`), which must never stall the event loop.
@@ -592,11 +581,6 @@ class MicroBatcher:
                 else:
                     alive.append(pending)
             jobs = [job for pending in alive for job in pending.jobs]
-            trace_ids = tuple(
-                pending.trace.trace_id
-                for pending in alive
-                if pending.trace is not None
-            )
             # The executor may shed the whole run only once *every*
             # member is past due, so the tunnelled batch deadline is the
             # latest member deadline -- and absent entirely while any
@@ -607,12 +591,10 @@ class MicroBatcher:
                     expires_at=max(p.deadline.expires_at for p in alive)
                 )
             started = time.perf_counter()
-            # Tunnel the batch's trace ids (and deadline) to the shm
-            # executor through contextvars: mine_documents keeps its
-            # signature (test fakes override it), yet worker-fallback
-            # logs can still name the requests a crashed chunk belonged
-            # to, and expired batches stop mining between chunks.
-            token = set_active_trace_ids(trace_ids) if trace_ids else None
+            # Tunnel the batch deadline to the executor through a
+            # contextvar: mine_documents keeps its signature (test fakes
+            # override it), yet an expired batch stops mining before
+            # its remaining documents.
             deadline_token = (
                 set_active_deadline(batch_deadline)
                 if batch_deadline is not None
@@ -628,15 +610,11 @@ class MicroBatcher:
             finally:
                 if deadline_token is not None:
                     reset_active_deadline(deadline_token)
-                if token is not None:
-                    reset_active_trace_ids(token)
             mine_done = time.perf_counter()
             mine_elapsed = mine_done - started
             if jobs:
                 self._mine_histogram.observe(mine_elapsed)
                 self._fill_histogram.observe(float(len(jobs)))
-            run_info = getattr(self.engine.executor, "last_run_info", None)
-            run_info = run_info if isinstance(run_info, dict) else {}
             cursor = 0
             for pending in alive:
                 docs = pending.request.docs
@@ -646,9 +624,7 @@ class MicroBatcher:
                     max(0.0, started - pending.queued_at)
                 )
                 if pending.trace is not None:
-                    self._record_spans(
-                        pending, slice_docs, started, mine_done, run_info
-                    )
+                    self._record_spans(pending, slice_docs, started, mine_done)
                 finalize_started = time.perf_counter()
                 try:
                     result = self.engine.finalize(
@@ -691,20 +667,15 @@ class MicroBatcher:
         self._in_flight_docs = 0
 
     def _record_spans(
-        self, pending: _Pending, slice_docs, started, mine_done, run_info
+        self, pending: _Pending, slice_docs, started, mine_done
     ) -> None:
         """Append batching spans for one request to its trace.
 
         ``queue_wait`` and ``batch_mine`` are measured directly; the
-        ``kernel`` / ``shm_pack`` / ``replay`` children are synthesised
-        from the engine's per-document scan stats and the executor's
-        ``last_run_info`` timings (their positions inside ``batch_mine``
-        are approximate, their durations are measured).  One
-        ``worker_chunk`` child per mined chunk is rebuilt from the span
-        records the workers shipped home on their chunk payloads
-        (``chunk_spans``) -- durations measured worker-side, positions
-        re-based into this process's ``batch_mine`` window because
-        ``perf_counter`` epochs do not travel across processes.
+        ``kernel`` child is synthesised from the request's per-document
+        scan times (its position inside ``batch_mine`` is approximate,
+        its duration measured, and clipped to ``batch_mine`` when
+        threads mined documents side by side).
         """
         trace = pending.trace
         trace.add(
@@ -722,52 +693,14 @@ class MicroBatcher:
         kernel_seconds = sum(
             document.stats.elapsed_seconds for document in slice_docs
         )
-        pack_seconds = float(run_info.get("pack_seconds") or 0.0)
-        if pack_seconds > 0.0:
-            trace.add(
-                "shm_pack",
-                started,
-                min(mine_done, started + pack_seconds),
-                parent="batch_mine",
-            )
         if kernel_seconds > 0.0:
-            kernel_start = min(mine_done, started + pack_seconds)
             trace.add(
                 "kernel",
-                kernel_start,
-                min(mine_done, kernel_start + kernel_seconds),
+                started,
+                min(mine_done, started + kernel_seconds),
                 parent="batch_mine",
                 docs=len(slice_docs),
             )
-        replay_seconds = float(run_info.get("aggregate_seconds") or 0.0)
-        if replay_seconds > 0.0:
-            trace.add(
-                "replay",
-                max(started, mine_done - replay_seconds),
-                mine_done,
-                parent="batch_mine",
-            )
-        cursor = min(mine_done, started + pack_seconds)
-        for index, chunk in enumerate(run_info.get("chunk_spans") or ()):
-            mine_seconds = float(chunk.get("mine_seconds") or 0.0)
-            ended = min(mine_done, cursor + mine_seconds)
-            trace.add(
-                f"worker_chunk_{index}",
-                cursor,
-                ended,
-                parent="batch_mine",
-                pid=chunk.get("pid"),
-                docs=chunk.get("docs"),
-                worker=bool(chunk.get("worker")),
-                kernel_ms=round(
-                    float(chunk.get("kernel_seconds") or 0.0) * 1000.0, 3
-                ),
-            )
-            # Pool chunks overlap in wall time; laying them end to end
-            # would overrun batch_mine, so only in-process (serial)
-            # chunks advance the cursor.
-            if not chunk.get("worker"):
-                cursor = ended
 
     def _resolve_all(self, batch: list[_Pending], exc: Exception) -> None:
         """Fail every request of a batch whose mining pass blew up."""
@@ -779,6 +712,5 @@ class MicroBatcher:
         return (
             f"MicroBatcher(batch_docs={self.batch_docs}, "
             f"max_pending_docs={self.max_pending_docs}, "
-            f"linger_seconds={self.linger_seconds}, "
             f"queued_docs={self._queued_docs})"
         )

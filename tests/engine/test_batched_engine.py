@@ -16,7 +16,7 @@ from repro.engine import (
     CorpusEngine,
     JobSpec,
     MiningJob,
-    ProcessExecutor,
+    SerialExecutor,
     ThreadExecutor,
     run_job,
     run_job_batch,
@@ -78,7 +78,7 @@ class TestBatchedParity:
 
     def test_batched_with_parallel_executors(self, model, corpus):
         reference = _canonical(CorpusEngine().run_texts(corpus, model))
-        for executor in (ProcessExecutor(workers=2), ThreadExecutor(workers=3)):
+        for executor in (SerialExecutor(), ThreadExecutor(workers=3)):
             batched = CorpusEngine(executor=executor, batch_docs=5).run_texts(
                 corpus, model
             )

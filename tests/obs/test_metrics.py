@@ -3,13 +3,10 @@
 What matters here is the contract the rest of the stack builds on:
 get-or-create semantics (modules reference shared metrics by name),
 thread-safe increments, exact recent-window quantiles, a JSON snapshot
-for ``/stats``, a Prometheus text rendering for ``/metrics``, and the
-picklable :class:`~repro.obs.metrics.LocalMetrics` that shm workers
-ship home inside their result payloads.
+for ``/stats``, and a Prometheus text rendering for ``/metrics``.
 """
 
 import math
-import pickle
 import threading
 
 import pytest
@@ -18,7 +15,6 @@ from repro.obs.metrics import (
     LATENCY_BUCKETS,
     Counter,
     Histogram,
-    LocalMetrics,
     MetricsRegistry,
     default_registry,
 )
@@ -155,30 +151,6 @@ class TestRenderPrometheus:
         for line in registry.render_prometheus().splitlines():
             if line.startswith("# HELP"):
                 assert "\n" not in line
-
-
-class TestLocalMetrics:
-    def test_pickle_roundtrip_and_merge(self):
-        local = LocalMetrics()
-        local.inc("repro_worker_chunks_total")
-        local.inc("repro_worker_docs_mined_total", 5)
-        local.observe("repro_worker_kernel_seconds", 0.25)
-        restored = pickle.loads(pickle.dumps(local))
-        registry = MetricsRegistry()
-        restored.merge_into(
-            registry, help={"repro_worker_chunks_total": "chunks"}
-        )
-        restored.merge_into(registry)  # merging twice accumulates
-        assert registry.get("repro_worker_chunks_total").value == 2.0
-        assert registry.get("repro_worker_docs_mined_total").value == 10.0
-        histogram = registry.get("repro_worker_kernel_seconds")
-        assert histogram.count == 2
-        assert histogram.sum == pytest.approx(0.5)
-
-    def test_empty_local_metrics_merge_is_a_no_op(self):
-        registry = MetricsRegistry()
-        LocalMetrics().merge_into(registry)
-        assert registry.snapshot() == {}
 
 
 def test_snapshot_includes_quantiles():

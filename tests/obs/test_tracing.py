@@ -14,10 +14,7 @@ import pytest
 from repro.obs.tracing import (
     Trace,
     TraceRecorder,
-    active_trace_ids,
     new_trace_id,
-    reset_active_trace_ids,
-    set_active_trace_ids,
     valid_trace_id,
 )
 
@@ -124,32 +121,6 @@ class TestTrace:
         trace.profile = {"samples": 3, "phases": {"kernel": 3}}
         trace.finish()
         assert trace.tree()["profile"]["phases"] == {"kernel": 3}
-
-
-class TestActiveTraceIds:
-    def test_set_and_reset_roundtrip(self):
-        assert active_trace_ids() == ()
-        token = set_active_trace_ids(("abc", "def"))
-        try:
-            assert active_trace_ids() == ("abc", "def")
-        finally:
-            reset_active_trace_ids(token)
-        assert active_trace_ids() == ()
-
-    def test_ids_do_not_leak_across_threads(self):
-        token = set_active_trace_ids(("abc",))
-        seen = []
-
-        def worker():
-            seen.append(active_trace_ids())
-
-        try:
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-        finally:
-            reset_active_trace_ids(token)
-        assert seen == [()]
 
 
 class TestTraceRecorder:

@@ -24,21 +24,49 @@ into the rest of the session.
 
 from __future__ import annotations
 
+import os
 import time
 
 from repro.router import RouterService, ShardProcess
 from repro.service import ServiceClient
 from repro.service.app import ServiceThread
 
-__all__ = ["RouterHarness"]
+__all__ = ["RouterHarness", "alive", "descendants"]
 
 #: Serve arguments every harness shard gets unless overridden: a tiny
-#: alphabet-ab service with an eager batcher, tuned for test latency.
+#: alphabet-ab service, tuned for test latency.
 DEFAULT_SERVE_ARGS = [
     "--alphabet", "ab",
     "--batch-docs", "8",
-    "--linger-ms", "0",
 ]
+
+
+def descendants(pid: int) -> list[int]:
+    """Every live descendant of ``pid``, from ``/proc/<pid>/stat``."""
+    children: dict[int, list[int]] = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as handle:
+                ppid = int(handle.read().rsplit(")", 1)[1].split()[1])
+        except (OSError, ValueError, IndexError):
+            continue
+        children.setdefault(ppid, []).append(int(entry))
+    found, frontier = [], [pid]
+    while frontier:
+        frontier = [c for p in frontier for c in children.get(p, [])]
+        found.extend(frontier)
+    return found
+
+
+def alive(pid: int) -> bool:
+    """Whether ``pid`` names a running (not zombie) process."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (OSError, IndexError):
+        return False
 
 
 class RouterHarness:

@@ -2,8 +2,8 @@
 
 ``REPRO_FAULTS`` is scoped to **one** shard's environment (the harness
 spawns each shard with its own env), so the fleet mixes a healthy
-shard with one whose workers crash and whose mine thread stalls.  The
-contract extends the single-service storm:
+shard with one whose calibration reads come back corrupt and whose
+mine thread stalls.  The contract extends the single-service storm:
 
 * every request resolves -- no hangs;
 * every outcome is one of {200, 429, 504} at the client -- connection
@@ -12,7 +12,9 @@ contract extends the single-service storm:
 * every 200 body stays bit-identical to a direct engine run;
 * a shard ejected for its sins rejoins the ring once its ``/healthz``
   recovers (here: restarted without the fault environment), and the
-  rejoin is observable in the router's metrics.
+  rejoin is observable in the router's metrics;
+* a SIGKILLed ``--workers 2`` shard leaves no process behind: it mines
+  on threads, so it has no children to orphan.
 """
 
 import json
@@ -20,19 +22,26 @@ import threading
 
 import pytest
 
-from harness import RouterHarness
+from harness import RouterHarness, alive, descendants
 from repro.core.model import BernoulliModel
-from repro.engine import CorpusEngine
+from repro.engine import CalibrationCache, CorpusEngine
 from repro.faults import FAULTS_ENV, FAULTS_SEED_ENV
 from repro.generators import generate_null_string
-from repro.service import ServiceError, ServiceOverloadedError
+from repro.service import (
+    DiskCalibrationCache,
+    ServiceError,
+    ServiceOverloadedError,
+)
 
 MODEL = BernoulliModel.uniform("ab")
 
-#: The faulted shard's environment: crashing worker chunks plus a
-#: stalled mine thread, deterministically scheduled.
-FAULTED_ENV = {FAULTS_ENV: "worker_crash:0.3,mine_delay_ms:50",
+#: The faulted shard's environment: every calibration entry read from
+#: disk is treated as corrupt, and the mine thread stalls.
+FAULTED_ENV = {FAULTS_ENV: "mine_delay_ms:50,disk_cache_corrupt",
                FAULTS_SEED_ENV: "7"}
+
+#: Calibration trials and seed of every shard (``serve --calibrate``).
+TRIALS, SEED = 20, 0
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +56,9 @@ def corpus():
 
 
 def _expected_payloads(texts):
-    result = CorpusEngine().run_texts(texts, MODEL)
+    result = CorpusEngine(
+        calibration=CalibrationCache(trials=TRIALS, seed=SEED)
+    ).run_texts(texts, MODEL)
     return [doc.payload(include_timing=False) for doc in result.documents]
 
 
@@ -72,17 +83,24 @@ def _metric_value(metrics_text: str, name: str) -> float:
 
 
 class TestRouterChaosStorm:
-    def test_storm_with_one_faulted_shard(self, corpus):
+    def test_storm_with_one_faulted_shard(self, corpus, tmp_path):
         """Ten concurrent clients, mixed deadlines, shard-1 under
         fault injection: outcomes are only {200, 429, 504}, 200s are
-        bit-identical, and the faulted shard rejoins after a clean
-        restart."""
+        bit-identical, the faulted shard rejoins after a clean restart,
+        and its SIGKILL orphans no process."""
+        # Pre-warm the shared store so shards read entries from disk,
+        # where the corruption fault bites.
+        store = tmp_path / "calib"
+        warm = DiskCalibrationCache(store, trials=TRIALS, seed=SEED)
+        for text in corpus:
+            warm.distribution_for(MODEL, len(text))
         serve_args = [
             "--alphabet", "ab",
             "--batch-docs", "4",
             "--max-pending", "64",
-            "--linger-ms", "0",
             "--workers", "2",
+            "--calibrate", "--trials", str(TRIALS), "--seed", str(SEED),
+            "--cache-dir", str(store),
         ]
         with RouterHarness(
             shards=2,
@@ -129,12 +147,15 @@ class TestRouterChaosStorm:
 
             # Recovery: take the faulted shard down, bring it back
             # clean, and require the router to notice both transitions.
+            orphans = descendants(harness.shards[1].pid)
             harness.kill_shard(1)
             health = harness.wait_status("degraded")
             assert health["shards"]["shard-1"]["status"] == "down"
             harness.restart_shard(1, env={})  # faults gone
             health = harness.wait_status("ok")
             assert health["shards"]["shard-1"]["status"] == "ok"
+            survivors = [pid for pid in orphans if alive(pid)]
+            assert survivors == [], f"shard children outlived it: {survivors}"
             with harness.client() as client:
                 response = client.mine(texts=corpus[:4], retries=2)
                 assert _identical(response, _expected_payloads(corpus[:4]))

@@ -3,11 +3,11 @@
 The fleet-tracing acceptance path: a ``POST /mine`` through a 2-shard
 router yields ONE assembled trace from the router's ``GET /trace/<id>``
 containing the router's proxy spans, the owning shard's service spans
-(parse -> queue_wait -> batch_mine -> finalize), and at least one
-shm-worker child span -- with the identical trace id at every hop
-(client header, router tree, shard subtree).  Real processes, real
-sockets: the shards are genuine ``repro-mss serve`` children with a
-2-process worker pool each.
+(parse -> queue_wait -> batch_mine -> finalize) with the kernel child
+of the batch -- with the identical trace id at every hop (client
+header, router tree, shard subtree).  Real processes, real sockets: the
+shards are genuine ``repro-mss serve`` children mining on two threads
+each.
 """
 
 import json
@@ -20,12 +20,10 @@ from repro.generators import generate_null_string
 
 MODEL = BernoulliModel.uniform("ab")
 
-#: Shards with a real shm worker pool and a small batch target, so one
-#: 8-document request splits into >= 2 chunks and engages the pool.
-POOLED_SERVE_ARGS = [
+#: Shards on the thread tier with a small batch target.
+THREADED_SERVE_ARGS = [
     "--alphabet", "ab",
     "--batch-docs", "4",
-    "--linger-ms", "0",
     "--workers", "2",
 ]
 
@@ -60,7 +58,7 @@ def _find(nodes, name):
 class TestAssembledTrace:
     def test_one_request_one_fleet_wide_tree(self):
         with RouterHarness(
-            shards=2, serve_args=POOLED_SERVE_ARGS
+            shards=2, serve_args=THREADED_SERVE_ARGS
         ) as harness:
             with harness.client() as client:
                 client.mine(texts=_corpus())
@@ -90,18 +88,11 @@ class TestAssembledTrace:
             "parse", "queue_wait", "batch_mine", "finalize", "serialize",
         ]
 
-        # -- worker layer: >= 1 shm chunk span inside batch_mine -------
+        # -- kernel layer: the request's share inside batch_mine -------
         batch_mine = _find(service_spans, "batch_mine")
-        worker_chunks = [
-            child for child in batch_mine["children"]
-            if child["name"].startswith("worker_chunk_")
-        ]
-        assert worker_chunks, _span_names(batch_mine["children"])
-        pooled = [c for c in worker_chunks if c["notes"].get("worker")]
-        assert pooled, "no chunk was mined by a pool worker process"
-        for chunk in pooled:
-            assert chunk["notes"]["pid"] > 0
-            assert chunk["notes"]["docs"] >= 1
+        kernel = _find(batch_mine["children"], "kernel")
+        assert kernel["notes"]["docs"] == 8
+        assert 0.0 < kernel["ms"] <= batch_mine["ms"]
 
     def test_router_adopts_a_client_supplied_trace_id(self):
         with RouterHarness(shards=2) as harness:

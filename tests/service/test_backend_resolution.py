@@ -95,3 +95,29 @@ def test_start_resolves_the_backend_before_the_first_request(
     if fresh_native.is_native:
         assert "backend_fallback_reason" not in health
         assert _fallback_total(scrape) == 0
+
+
+def test_compiler_less_workers_mine_on_one_thread(
+    fresh_cache, no_compiler, fresh_native
+):
+    """``workers=2`` without a compiler: numpy holds the GIL, so the
+    batch mines on one thread, /stats says so, and answers match."""
+    from repro.engine import CorpusEngine
+
+    texts = [TEXT, "ab" * 30, "ba" * 12 + "b" * 9]
+    service = MiningService(MODEL, workers=2, batch_docs=2)
+    with ServiceThread(service) as handle:
+        with ServiceClient(*handle.address) as client:
+            mined = client.mine(texts=texts)
+            engine = client.stats()["engine"]
+        assert service.engine.executor.started is False  # no pool spun up
+    assert engine["backend_resolved"] == "numpy"
+    assert (engine["executor"], engine["workers"], engine["threads"]) == (
+        "thread", 2, 1,
+    )
+    expected = CorpusEngine().run_texts(texts, MODEL).payload(
+        include_timing=False
+    )
+    for got, want in zip(mined["results"], expected["results"]):
+        got.pop("elapsed_seconds")
+        assert got == want

@@ -85,7 +85,7 @@ class TestCoalescing:
         async def scenario():
             engine = CountingEngine()
             batcher = MicroBatcher(
-                engine, batch_docs=16, linger_seconds=0.05
+                engine, batch_docs=16
             )
             await batcher.start()
             texts = [f"{'ab' * 15}{'a' * (4 + i)}" for i in range(6)]
@@ -96,7 +96,9 @@ class TestCoalescing:
             return engine, batcher, texts, results
 
         engine, batcher, texts, results = asyncio.run(scenario())
-        assert engine.mine_calls < 6  # coalesced, not per-request
+        # Submitted together, they queue before the idle lane takes its
+        # first batch: one mining pass, with no timer involved.
+        assert engine.mine_calls == 1
         assert batcher.batches == engine.mine_calls
         assert batcher.docs_total == 6
         assert batcher.stats()["batch_fill"] > 1.0
@@ -110,7 +112,7 @@ class TestCoalescing:
 
         async def scenario():
             engine = CountingEngine()
-            batcher = MicroBatcher(engine, batch_docs=32, linger_seconds=0.05)
+            batcher = MicroBatcher(engine, batch_docs=32)
             await batcher.start()
             payloads = [
                 {"text": "ab" * 20 + "aaaa"},
@@ -140,7 +142,7 @@ class TestCoalescing:
     def test_oversized_request_rides_alone(self):
         async def scenario():
             engine = CountingEngine()
-            batcher = MicroBatcher(engine, batch_docs=2, linger_seconds=0.0)
+            batcher = MicroBatcher(engine, batch_docs=2)
             await batcher.start()
             result = await batcher.submit(
                 multi_request(["ab" * 10] * 7)  # 7 docs > batch_docs=2
@@ -158,7 +160,7 @@ class TestBackpressure:
         async def scenario():
             engine = GatedEngine()
             batcher = MicroBatcher(
-                engine, batch_docs=8, max_pending_docs=4, linger_seconds=0.0
+                engine, batch_docs=8, max_pending_docs=4
             )
             await batcher.start()
             first = asyncio.ensure_future(batcher.submit(request()))
@@ -192,7 +194,7 @@ class TestBackpressure:
         async def scenario():
             engine = GatedEngine()
             batcher = MicroBatcher(
-                engine, batch_docs=4, max_pending_docs=1000, linger_seconds=0.0
+                engine, batch_docs=4, max_pending_docs=1000
             )
             await batcher.start()
             # manufacture a measured throughput of ~1000 docs/sec
@@ -212,7 +214,7 @@ class TestBackpressure:
 
         async def scenario():
             batcher = MicroBatcher(
-                CountingEngine(), max_pending_docs=3, linger_seconds=0.0
+                CountingEngine(), max_pending_docs=3
             )
             await batcher.start()
             with pytest.raises(ValueError, match="at most 3"):
@@ -223,7 +225,7 @@ class TestBackpressure:
 
     def test_rejected_while_closing(self):
         async def scenario():
-            batcher = MicroBatcher(CountingEngine(), linger_seconds=0.0)
+            batcher = MicroBatcher(CountingEngine())
             await batcher.start()
             await batcher.close()
             with pytest.raises(ServiceOverloaded):
@@ -255,7 +257,6 @@ class TestTenantQuota:
                 engine,
                 batch_docs=8,
                 max_pending_docs=8,
-                linger_seconds=0.0,
                 tenant_fair_share=0.5,  # each tenant: 4 queued docs
             )
             await batcher.start()
@@ -301,7 +302,6 @@ class TestTenantQuota:
             batcher = MicroBatcher(
                 CountingEngine(),
                 max_pending_docs=10,
-                linger_seconds=0.0,
                 tenant_fair_share=0.3,  # cap: 3 docs
             )
             await batcher.start()
@@ -337,7 +337,6 @@ class TestTenantQuota:
                 engine,
                 batch_docs=64,
                 max_pending_docs=8,
-                linger_seconds=0.0,
                 tenant_fair_share=0.5,
             )
             await batcher.start()
@@ -383,7 +382,7 @@ class TestTenantQuota:
         async def scenario():
             engine = GatedEngine()
             batcher = MicroBatcher(
-                engine, batch_docs=8, max_pending_docs=4, linger_seconds=0.0
+                engine, batch_docs=8, max_pending_docs=4
             )
             await batcher.start()
             assert batcher.tenant_cap_docs == batcher.max_pending_docs
@@ -420,7 +419,7 @@ class TestDraining:
         async def scenario():
             engine = GatedEngine()
             batcher = MicroBatcher(
-                engine, batch_docs=2, max_pending_docs=64, linger_seconds=0.0
+                engine, batch_docs=2, max_pending_docs=64
             )
             await batcher.start()
             tasks = [
@@ -447,7 +446,7 @@ class TestDraining:
                 return super().mine_documents(jobs, batch_docs=batch_docs)
 
         async def scenario():
-            batcher = MicroBatcher(FlakyEngine(), linger_seconds=0.0)
+            batcher = MicroBatcher(FlakyEngine())
             await batcher.start()
             with pytest.raises(RuntimeError, match="backend exploded"):
                 await batcher.submit(request())

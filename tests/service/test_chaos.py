@@ -6,10 +6,6 @@ The contract under test, per the resilience issue:
   200 stays **bit-identical** to a direct ``CorpusEngine.run``;
 * every outcome under chaos is one of {200, 429, 503, 504} -- never a
   hang, never a 500;
-* the worker-pool circuit breaker's open -> half-open -> closed cycle
-  is observable through ``/healthz`` and the
-  ``repro_pool_breaker_state`` / ``repro_pool_breaker_transitions_total``
-  metrics;
 * a disk-cache entry quarantined by fault injection is re-simulated to
   bit-identical samples (self-healing store).
 """
@@ -21,13 +17,10 @@ import threading
 import pytest
 
 from repro.core.model import BernoulliModel
-from repro.engine import CorpusEngine, PoolSupervisor
-from repro.engine.executors import SharedMemoryExecutor
+from repro.engine import CalibrationCache, CorpusEngine
 from repro.faults import (
     FAULTS_ENV,
     FAULTS_SEED_ENV,
-    FaultRegistry,
-    configure_faults,
     get_faults,
     reset_faults,
 )
@@ -53,9 +46,9 @@ def _clean_faults():
     reset_faults()
 
 
-def _expected_payloads(texts, **run_kwargs):
+def _expected_payloads(texts, calibration=None):
     """What a direct CorpusEngine.run of the same request returns."""
-    result = CorpusEngine().run_texts(texts, MODEL, **run_kwargs)
+    result = CorpusEngine(calibration=calibration).run_texts(texts, MODEL)
     return [doc.payload(include_timing=False) for doc in result.documents]
 
 
@@ -94,30 +87,18 @@ def corpus():
     return texts
 
 
-class TestWorkerCrash:
-    def test_crashing_workers_keep_results_bit_identical(
-        self, corpus, monkeypatch
-    ):
-        """Every pool chunk crashes; the in-process fallback must still
-        produce the exact answer and count itself in the metrics."""
-        monkeypatch.setenv(FAULTS_ENV, "worker_crash")
-        service = MiningService(
-            MODEL, workers=2, batch_docs=4, linger_seconds=0.0
-        )
-        with ServiceThread(service) as handle:
-            with ServiceClient(*handle.address) as client:
-                response = client.mine(texts=corpus)
-                scrape = client.metrics()
-        assert _identical(response, _expected_payloads(corpus))
-        assert _metric_value(scrape, "repro_shm_fallback_chunks_total") > 0
-
-    def test_probabilistic_crashes_are_deterministic(self, monkeypatch):
+class TestFaultSchedule:
+    def test_probabilistic_faults_are_deterministic(self, monkeypatch):
         """Same spec + seed => the same fault schedule, draw for draw."""
-        monkeypatch.setenv(FAULTS_ENV, "worker_crash:0.5")
+        monkeypatch.setenv(FAULTS_ENV, "disk_cache_corrupt:0.5")
         monkeypatch.setenv(FAULTS_SEED_ENV, "42")
-        first = [get_faults().should_fire("worker_crash") for _ in range(32)]
+        first = [
+            get_faults().should_fire("disk_cache_corrupt") for _ in range(32)
+        ]
         reset_faults()
-        second = [get_faults().should_fire("worker_crash") for _ in range(32)]
+        second = [
+            get_faults().should_fire("disk_cache_corrupt") for _ in range(32)
+        ]
         assert first == second
         assert True in first and False in first  # 0.5 actually mixes
 
@@ -129,7 +110,7 @@ class TestDeadlineUnderDelay:
         """A stalled mine thread sheds the expired request: 504 whose
         body quotes the trace id, and the timeout counter moves."""
         monkeypatch.setenv(FAULTS_ENV, "mine_delay_ms:300")
-        service = MiningService(MODEL, linger_seconds=0.0)
+        service = MiningService(MODEL)
         with ServiceThread(service) as handle:
             conn = http.client.HTTPConnection(*handle.address, timeout=30)
             try:
@@ -150,67 +131,6 @@ class TestDeadlineUnderDelay:
         assert body["timeout_ms"] == 100
         assert body["trace_id"] == trace_header
         assert _metric_value(scrape, "repro_requests_timed_out_total") >= 1
-
-
-class TestCircuitBreaker:
-    def test_breaker_opens_half_opens_and_closes(self, corpus):
-        """pool_start_fail drives the full open -> half-open -> closed
-        cycle, observable via /healthz and the breaker metrics."""
-        clock = [0.0]
-        supervisor = PoolSupervisor(
-            failure_threshold=2,
-            cooldown_seconds=30.0,
-            clock=lambda: clock[0],
-        )
-        engine = CorpusEngine(
-            executor=SharedMemoryExecutor(
-                workers=2, persistent=True, supervisor=supervisor
-            ),
-            batch_docs=2,
-        )
-        configure_faults(FaultRegistry.from_spec("pool_start_fail"))
-        service = MiningService(MODEL, engine=engine, batch_docs=2,
-                                linger_seconds=0.0)
-        with ServiceThread(service) as handle:
-            with ServiceClient(*handle.address) as client:
-                # Two failing runs (pool cannot start, every chunk falls
-                # back) reach the threshold and open the breaker.
-                for _ in range(2):
-                    response = client.mine(texts=corpus[:6])
-                    assert _identical(
-                        response, _expected_payloads(corpus[:6])
-                    )
-                health = client.healthz()
-                assert health["status"] == "degraded"
-                assert health["pool_breaker"]["state"] == "open"
-                assert "breaker open" in health["reason"]
-                assert _metric_value(
-                    client.metrics(), "repro_pool_breaker_state"
-                ) == 1
-
-                # While open: correct answers, no pool start attempts.
-                starts_before = engine.executor.pool.starts
-                response = client.mine(texts=corpus[:6])
-                assert _identical(response, _expected_payloads(corpus[:6]))
-                assert engine.executor.pool.starts == starts_before
-
-                # Heal the host and let the cooldown elapse: the next
-                # run half-opens, its probe chunk succeeds, breaker
-                # closes again.
-                configure_faults(None)
-                clock[0] += 31.0
-                assert client.healthz()["pool_breaker"]["state"] == "half_open"
-                response = client.mine(texts=corpus[:6])
-                assert _identical(response, _expected_payloads(corpus[:6]))
-                health = client.healthz()
-                assert health["status"] == "ok"
-                assert health["pool_breaker"]["state"] == "closed"
-                assert health["pool_breaker"]["opened_total"] == 1
-                scrape = client.metrics()
-        assert _metric_value(scrape, "repro_pool_breaker_state") == 0
-        assert (
-            _metric_value(scrape, "repro_pool_breaker_transitions_total") >= 3
-        )  # closed->open, open->half_open, half_open->closed
 
 
 class TestDiskCacheCorruption:
@@ -240,19 +160,27 @@ class TestDiskCacheCorruption:
 
 class TestChaosStorm:
     def test_outcomes_under_chaos_are_only_200_429_or_504(
-        self, corpus, monkeypatch
+        self, corpus, tmp_path, monkeypatch
     ):
-        """Crashing workers + a stalling mine thread + a small queue +
-        mixed deadlines: every request resolves (no hangs), every
-        outcome is 200 (bit-identical), 429, or 504 -- never a 500."""
-        monkeypatch.setenv(FAULTS_ENV, "worker_crash:0.3,mine_delay_ms:50")
+        """Corrupt calibration reads + a stalling mine thread + a small
+        queue + mixed deadlines, on the thread tier: every request
+        resolves (no hangs), every outcome is 200 (bit-identical), 429,
+        or 504 -- never a 500."""
+        # Pre-warm the store so the service reads entries from disk,
+        # where the corruption fault bites.
+        warm = DiskCalibrationCache(tmp_path, trials=20, seed=7)
+        for text in corpus:
+            warm.distribution_for(MODEL, len(text))
+        monkeypatch.setenv(
+            FAULTS_ENV, "mine_delay_ms:50,disk_cache_corrupt"
+        )
         monkeypatch.setenv(FAULTS_SEED_ENV, "7")
         service = MiningService(
             MODEL,
             workers=2,
             batch_docs=4,
             max_pending_docs=8,
-            linger_seconds=0.0,
+            calibration=DiskCalibrationCache(tmp_path, trials=20, seed=7),
         )
         outcomes = []
 
@@ -290,6 +218,11 @@ class TestChaosStorm:
         statuses = {status for _, status, _ in outcomes}
         assert statuses <= {200, 429, 504}
         assert 200 in statuses  # chaos degraded service, never killed it
+        assert get_faults().fired("disk_cache_corrupt") >= 1  # it bit
+        reference = CalibrationCache(trials=20, seed=7)
         for texts, status, response in outcomes:
             if status == 200:
-                assert _identical(response, _expected_payloads(texts))
+                assert _identical(
+                    response,
+                    _expected_payloads(texts, calibration=reference),
+                )

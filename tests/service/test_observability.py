@@ -5,11 +5,10 @@ The contract under test, per the observability PR:
 * ``GET /metrics`` is valid Prometheus text exposition (the same
   validator CI runs over the benchmark's scrape gates it here) and
   carries the request-latency histograms, per-stage timings, cache
-  hit/miss counters and -- with ``workers > 1`` -- the worker-side
-  counters merged back from the shm pool;
+  hit/miss counters and the per-backend X² evaluation counter;
 * the ``/stats`` payload keeps one schema across executor variants
-  (serial vs shared-memory, persistent or not), now including the
-  resolved kernel backend and the full metrics snapshot;
+  (serial vs the thread tier), including the resolved kernel backend,
+  the mining thread count and the full metrics snapshot;
 * a request's span tree is retrievable afterwards from
   ``GET /stats?trace=1``, and error responses carry their trace id in
   both the JSON body and the ``X-Trace-Id`` header;
@@ -79,14 +78,14 @@ def _get(address, path):
 #: Executor variants the /stats schema must hold across.
 VARIANTS = [
     pytest.param({"workers": 1}, id="serial"),
-    pytest.param({"workers": 2}, id="shm-persistent"),
+    pytest.param({"workers": 2}, id="threads"),
 ]
 
 
 class TestStatsSchema:
     @pytest.mark.parametrize("kwargs", VARIANTS)
     def test_schema_is_stable_across_executors(self, corpus, kwargs):
-        with _serve(batch_docs=4, linger_seconds=0.0, **kwargs) as handle:
+        with _serve(batch_docs=4, **kwargs) as handle:
             with ServiceClient(*handle.address) as client:
                 client.mine(texts=corpus)
                 stats = client.stats()
@@ -95,8 +94,8 @@ class TestStatsSchema:
         # the resolved kernel backend, not None, whatever the executor
         assert engine["backend"] in ("numpy", "python", "native")
         assert engine["backend_resolved"] in ("numpy", "python", "native")
-        for key in ("executor", "workers", "batch_docs", "correction",
-                    "alpha"):
+        for key in ("executor", "workers", "threads", "batch_docs",
+                    "correction", "alpha"):
             assert key in engine
         batcher = stats["batcher"]
         assert batcher["requests_total"] == 1
@@ -114,26 +113,30 @@ class TestStatsSchema:
         ]
         assert mined and mined[0]["value"] == 1
 
-    def test_shm_variant_reports_worker_counters(self, corpus):
-        with _serve(workers=2, batch_docs=4, linger_seconds=0.0) as handle:
+    @pytest.mark.parametrize("kwargs", VARIANTS)
+    def test_x2_evaluations_are_counted_per_backend(self, corpus, kwargs):
+        with _serve(batch_docs=4, **kwargs) as handle:
             with ServiceClient(*handle.address) as client:
-                client.mine(texts=corpus)
-                metrics = client.stats()["metrics"]
-        # counters accumulated inside worker processes, merged by the
-        # parent off the chunk result payloads
-        assert metrics["repro_worker_chunks_total"]["value"] >= 1
-        assert (
-            metrics["repro_worker_docs_mined_total"]["value"] == len(corpus)
-        )
-        assert metrics["repro_shm_chunks_total"]["value"] >= 1
-        # created at zero so dashboards can rate() it before any crash
-        assert metrics["repro_shm_fallback_chunks_total"]["value"] == 0
+                before = client.stats()
+                response = client.mine(texts=corpus)
+                after = client.stats()
+        backend = after["engine"]["backend_resolved"]
+
+        def series(stats):
+            family = stats["metrics"]["repro_kernel_x2_evaluations_total"]
+            return {s["labels"]["backend"]: s["value"] for s in family["series"]}
+
+        # created at zero in start(), before the first mined document
+        assert series(before) == {backend: 0}
+        # the mining threads share the service registry: the counter
+        # carries exactly the evaluations the response reports
+        assert series(after) == {backend: response["evaluated"]}
 
 
 class TestMetricsEndpoint:
     @pytest.mark.parametrize("kwargs", VARIANTS)
     def test_exposition_is_valid_prometheus_text(self, corpus, kwargs):
-        with _serve(batch_docs=4, linger_seconds=0.0, **kwargs) as handle:
+        with _serve(batch_docs=4, **kwargs) as handle:
             with ServiceClient(*handle.address) as client:
                 client.mine(texts=corpus)
                 text = client.metrics()
@@ -142,10 +145,10 @@ class TestMetricsEndpoint:
         assert "# TYPE repro_request_stage_seconds histogram" in text
 
     def test_two_services_do_not_share_counters(self, corpus):
-        with _serve(batch_docs=4, linger_seconds=0.0) as first:
+        with _serve(batch_docs=4) as first:
             with ServiceClient(*first.address) as client:
                 client.mine(texts=corpus)
-        with _serve(batch_docs=4, linger_seconds=0.0) as second:
+        with _serve(batch_docs=4) as second:
             with ServiceClient(*second.address) as client:
                 client.mine(texts=corpus[:2])
                 stats = client.stats()
@@ -156,7 +159,7 @@ class TestMetricsEndpoint:
 
         cache = DiskCalibrationCache(tmp_path, trials=20)
         service = MiningService(
-            MODEL, batch_docs=4, linger_seconds=0.0, calibration=cache
+            MODEL, batch_docs=4, calibration=cache
         )
         with ServiceThread(service) as handle:
             with ServiceClient(*handle.address) as client:
@@ -173,7 +176,7 @@ class TestMetricsEndpoint:
 
 class TestTracing:
     def test_span_tree_is_retrievable_after_the_request(self, corpus):
-        with _serve(batch_docs=4, linger_seconds=0.0) as handle:
+        with _serve(batch_docs=4) as handle:
             with ServiceClient(*handle.address) as client:
                 client.mine(texts=corpus)
                 traces = client.stats(trace=True)["traces"]
@@ -189,13 +192,13 @@ class TestTracing:
         assert tree["total_ms"] > 0.0
 
     def test_plain_stats_omits_traces(self, corpus):
-        with _serve(batch_docs=4, linger_seconds=0.0) as handle:
+        with _serve(batch_docs=4) as handle:
             with ServiceClient(*handle.address) as client:
                 client.mine(texts=corpus[:1])
                 assert "traces" not in client.stats()
 
     def test_success_carries_trace_header_but_clean_body(self, corpus):
-        with _serve(batch_docs=4, linger_seconds=0.0) as handle:
+        with _serve(batch_docs=4) as handle:
             body = json.dumps({"texts": corpus[:1]}).encode()
             status, headers, payload = _post(handle.address, body)
         assert status == 200
@@ -205,7 +208,7 @@ class TestTracing:
 
 class TestTraceAdoption:
     def test_valid_inbound_trace_id_is_adopted(self, corpus):
-        with _serve(batch_docs=4, linger_seconds=0.0) as handle:
+        with _serve(batch_docs=4) as handle:
             body = json.dumps({"texts": corpus[:1]}).encode()
             status, headers, _ = _post(
                 handle.address, body,
@@ -215,7 +218,7 @@ class TestTraceAdoption:
         assert headers["X-Trace-Id"] == "feedface00000042"
 
     def test_malformed_inbound_trace_id_is_replaced(self, corpus):
-        with _serve(batch_docs=4, linger_seconds=0.0) as handle:
+        with _serve(batch_docs=4) as handle:
             body = json.dumps({"texts": corpus[:1]}).encode()
             status, headers, _ = _post(
                 handle.address, body, {"X-Trace-Id": "../etc/passwd"}
@@ -225,7 +228,7 @@ class TestTraceAdoption:
         assert len(headers["X-Trace-Id"]) == 16  # freshly minted
 
     def test_adopted_trace_records_its_parent_span(self, corpus):
-        with _serve(batch_docs=4, linger_seconds=0.0) as handle:
+        with _serve(batch_docs=4) as handle:
             body = json.dumps({"texts": corpus[:1]}).encode()
             _post(
                 handle.address, body,
@@ -240,7 +243,7 @@ class TestTraceAdoption:
 
 class TestTraceEndpoint:
     def test_trace_by_id_returns_the_span_tree(self, corpus):
-        with _serve(batch_docs=4, linger_seconds=0.0) as handle:
+        with _serve(batch_docs=4) as handle:
             body = json.dumps({"texts": corpus}).encode()
             _, headers, _ = _post(handle.address, body)
             trace_id = headers["X-Trace-Id"]
@@ -266,7 +269,7 @@ class TestTraceEndpoint:
         assert "error" in json.loads(raw)
 
     def test_client_trace_helper_round_trips(self, corpus):
-        with _serve(batch_docs=4, linger_seconds=0.0) as handle:
+        with _serve(batch_docs=4) as handle:
             with ServiceClient(*handle.address) as client:
                 client.mine(texts=corpus[:2])
                 assert len(client.last_trace_id) == 16
@@ -281,7 +284,7 @@ class TestTraceEndpoint:
 class TestSampling:
     def test_rate_zero_drops_successful_traces(self, corpus):
         with _serve(
-            batch_docs=4, linger_seconds=0.0, trace_sample=0.0
+            batch_docs=4, trace_sample=0.0
         ) as handle:
             body = json.dumps({"texts": corpus[:1]}).encode()
             _, headers, _ = _post(handle.address, body)
@@ -306,7 +309,7 @@ class TestSampling:
     def test_trace_sink_writes_kept_trees(self, corpus, tmp_path):
         sink_path = tmp_path / "traces.jsonl"
         with _serve(
-            batch_docs=4, linger_seconds=0.0, trace_log=str(sink_path)
+            batch_docs=4, trace_log=str(sink_path)
         ) as handle:
             body = json.dumps({"texts": corpus[:1]}).encode()
             _, headers, _ = _post(handle.address, body)
@@ -318,7 +321,7 @@ class TestSampling:
 
 class TestProfileEndpoint:
     def test_debug_profile_returns_collapsed_text(self, corpus):
-        with _serve(batch_docs=4, linger_seconds=0.0) as handle:
+        with _serve(batch_docs=4) as handle:
             with ServiceClient(*handle.address) as client:
                 client.mine(texts=corpus)
             status, headers, raw = _get(
@@ -340,7 +343,7 @@ class TestProfileEndpoint:
                 assert "seconds" in json.loads(raw)["error"]
 
     def test_profiler_overhead_is_reported_in_stats(self, corpus):
-        with _serve(batch_docs=4, linger_seconds=0.0) as handle:
+        with _serve(batch_docs=4) as handle:
             with ServiceClient(*handle.address) as client:
                 client.mine(texts=corpus[:1])
                 profiler = client.stats()["profiler"]
@@ -351,7 +354,7 @@ class TestProfileEndpoint:
         assert 0.0 <= profiler["overhead_ratio"] < 0.5
 
     def test_slow_traces_carry_a_phase_profile(self, corpus):
-        service = MiningService(MODEL, batch_docs=4, linger_seconds=0.0)
+        service = MiningService(MODEL, batch_docs=4)
         service.traces.slow_ms = 0.0  # every request counts as slow
         with ServiceThread(service) as handle:
             body = json.dumps({"texts": corpus}).encode()
@@ -367,7 +370,7 @@ class TestProfileEndpoint:
 
 class TestSloLayer:
     def test_burn_gauges_render_without_configuration(self, corpus):
-        with _serve(batch_docs=4, linger_seconds=0.0) as handle:
+        with _serve(batch_docs=4) as handle:
             with ServiceClient(*handle.address) as client:
                 client.mine(texts=corpus[:1])
                 text = client.metrics()
@@ -377,7 +380,7 @@ class TestSloLayer:
         assert "repro_slo_fast_burn_degraded 0" in text
 
     def test_default_slo_is_not_enforced(self, corpus):
-        with _serve(batch_docs=4, linger_seconds=0.0) as handle:
+        with _serve(batch_docs=4) as handle:
             with ServiceClient(*handle.address) as client:
                 client.mine(texts=corpus[:1])
                 stats = client.stats()["slo"]
@@ -390,7 +393,7 @@ class TestSloLayer:
         # latency budget at 100x, tripping the fast-burn condition once
         # min_events requests land in the fast window.
         with _serve(
-            batch_docs=4, linger_seconds=0.0, slo="p99:0.001ms"
+            batch_docs=4, slo="p99:0.001ms"
         ) as handle:
             with ServiceClient(*handle.address) as client:
                 for _ in range(12):
@@ -417,11 +420,10 @@ class TestSloLayer:
             return payload
 
         body = json.dumps({"texts": corpus}).encode()
-        with _serve(batch_docs=4, linger_seconds=0.0) as handle:
+        with _serve(batch_docs=4) as handle:
             _, _, plain = _post(handle.address, body)
         with _serve(
             batch_docs=4,
-            linger_seconds=0.0,
             trace_sample=0.5,
             trace_log=str(tmp_path / "sink.jsonl"),
             slo="p99:250ms,errors:0.1%",
@@ -455,7 +457,7 @@ class TestAccessLog:
         stream = io.StringIO()
         configure(format="json", level="info", stream=stream)
         try:
-            with _serve(batch_docs=4, linger_seconds=0.0) as handle:
+            with _serve(batch_docs=4) as handle:
                 with ServiceClient(*handle.address) as client:
                     client.mine(texts=corpus[:2])
         finally:

@@ -1,8 +1,7 @@
 """Resilience primitives and their service-level edge cases.
 
-Unit coverage for the PR's building blocks -- :class:`FaultRegistry`,
-:class:`PoolSupervisor`, :class:`Deadline` -- plus the satellite
-contracts:
+Unit coverage for the building blocks -- :class:`FaultRegistry` and
+:class:`Deadline` -- plus the satellite contracts:
 
 * ``timeout_ms`` validation (non-positive / non-integer -> 400);
 * a request whose deadline expires while queued is **never** mined, and
@@ -24,7 +23,7 @@ import time
 import pytest
 
 from repro.core.model import BernoulliModel
-from repro.engine import CorpusEngine, Deadline, PoolSupervisor
+from repro.engine import CorpusEngine, Deadline
 from repro.engine.deadline import (
     active_deadline,
     reset_active_deadline,
@@ -81,28 +80,32 @@ def corpus():
 class TestFaultRegistry:
     def test_spec_parsing(self):
         faults = FaultRegistry.from_spec(
-            "worker_crash:0.25, mine_delay_ms:150 ,disk_cache_corrupt"
+            "disk_cache_corrupt:0.25, mine_delay_ms:150 "
         )
         assert faults.sites == {
-            "worker_crash": 0.25,
+            "disk_cache_corrupt": 0.25,
             "mine_delay_ms": 150.0,
+        }
+        assert faults.enabled("disk_cache_corrupt")
+        assert FaultRegistry.from_spec("disk_cache_corrupt").sites == {
             "disk_cache_corrupt": 1.0,
         }
-        assert faults.enabled("worker_crash")
-        assert not faults.enabled("pool_start_fail")
+        assert not FaultRegistry.from_spec("mine_delay_ms:5").enabled(
+            "disk_cache_corrupt"
+        )
         assert faults.param("mine_delay_ms") == 150.0
 
     def test_unknown_site_is_a_configuration_error(self):
         with pytest.raises(ValueError, match="unknown fault site"):
-            FaultRegistry.from_spec("worker_crsh:0.5")
+            FaultRegistry.from_spec("disk_cache_corupt:0.5")
         with pytest.raises(ValueError, match="unknown fault site"):
             FaultRegistry().should_fire("no_such_site")
 
     def test_bad_values_are_rejected(self):
         with pytest.raises(ValueError, match="non-numeric"):
-            FaultRegistry.from_spec("worker_crash:maybe")
+            FaultRegistry.from_spec("disk_cache_corrupt:maybe")
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            FaultRegistry.from_spec("worker_crash:1.5")
+            FaultRegistry.from_spec("disk_cache_corrupt:1.5")
 
     def test_param_sites_fire_iff_positive(self):
         assert FaultRegistry.from_spec("mine_delay_ms:1").should_fire(
@@ -113,91 +116,30 @@ class TestFaultRegistry:
         )
 
     def test_draws_are_deterministic_per_seed(self):
-        a = FaultRegistry.from_spec("worker_crash:0.5", seed=3)
-        b = FaultRegistry.from_spec("worker_crash:0.5", seed=3)
-        c = FaultRegistry.from_spec("worker_crash:0.5", seed=4)
-        seq_a = [a.should_fire("worker_crash") for _ in range(64)]
-        seq_b = [b.should_fire("worker_crash") for _ in range(64)]
-        seq_c = [c.should_fire("worker_crash") for _ in range(64)]
+        site = "disk_cache_corrupt"
+        a = FaultRegistry.from_spec(f"{site}:0.5", seed=3)
+        b = FaultRegistry.from_spec(f"{site}:0.5", seed=3)
+        c = FaultRegistry.from_spec(f"{site}:0.5", seed=4)
+        seq_a = [a.should_fire(site) for _ in range(64)]
+        seq_b = [b.should_fire(site) for _ in range(64)]
+        seq_c = [c.should_fire(site) for _ in range(64)]
         assert seq_a == seq_b
         assert seq_a != seq_c  # a different seed replays differently
-        assert a.fired("worker_crash") == sum(seq_a)
+        assert a.fired(site) == sum(seq_a)
 
     def test_unconfigured_sites_never_fire_or_draw(self):
-        faults = FaultRegistry.from_spec("worker_crash:1.0")
-        assert not faults.should_fire("pool_start_fail")
-        assert faults.fired("pool_start_fail") == 0
+        faults = FaultRegistry.from_spec("mine_delay_ms:10")
+        assert not faults.should_fire("disk_cache_corrupt")
+        assert faults.fired("disk_cache_corrupt") == 0
 
     def test_env_cache_follows_the_environment(self, monkeypatch):
         assert get_faults().sites == {}
-        monkeypatch.setenv(FAULTS_ENV, "worker_crash:0.5")
-        assert get_faults().sites == {"worker_crash": 0.5}
+        monkeypatch.setenv(FAULTS_ENV, "disk_cache_corrupt:0.5")
+        assert get_faults().sites == {"disk_cache_corrupt": 0.5}
         same = get_faults()
         assert same is get_faults()  # cached until the env string changes
-        monkeypatch.setenv(FAULTS_ENV, "pool_start_fail")
-        assert get_faults().sites == {"pool_start_fail": 1.0}
-
-
-class TestPoolSupervisor:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="failure_threshold"):
-            PoolSupervisor(failure_threshold=0)
-        with pytest.raises(ValueError, match="cooldown_seconds"):
-            PoolSupervisor(cooldown_seconds=0.0)
-
-    def test_full_transition_cycle(self):
-        clock = [0.0]
-        seen = []
-        breaker = PoolSupervisor(
-            failure_threshold=2,
-            cooldown_seconds=10.0,
-            clock=lambda: clock[0],
-            on_transition=lambda old, new, reason: seen.append((old, new)),
-        )
-        assert breaker.state == "closed"
-        assert breaker.allow(4) == 4
-        breaker.record_run(used_pool=True, fallback_chunks=1)
-        assert breaker.state == "closed"  # streak 1 of 2
-        breaker.record_run(used_pool=True, fallback_chunks=2)
-        assert breaker.state == "open"
-        assert breaker.allow(4) == 0  # cooldown running
-        clock[0] += 10.0
-        assert breaker.state == "half_open"
-        assert breaker.allow(4) == 1  # exactly one probe chunk
-        breaker.record_run(used_pool=True, fallback_chunks=1)
-        assert breaker.state == "open"  # failed probe reopens
-        clock[0] += 10.0
-        assert breaker.allow(4) == 1
-        breaker.record_run(used_pool=True, fallback_chunks=0)
-        assert breaker.state == "closed"
-        assert breaker.status()["opened_total"] == 2
-        assert seen == [
-            ("closed", "open"),
-            ("open", "half_open"),
-            ("half_open", "open"),
-            ("open", "half_open"),
-            ("half_open", "closed"),
-        ]
-
-    def test_runs_that_skipped_the_pool_carry_no_signal(self):
-        breaker = PoolSupervisor(failure_threshold=1)
-        breaker.record_run(used_pool=False, fallback_chunks=5)
-        assert breaker.state == "closed"
-        assert breaker.status()["consecutive_failures"] == 0
-
-    def test_success_resets_the_failure_streak(self):
-        breaker = PoolSupervisor(failure_threshold=3)
-        breaker.record_run(used_pool=True, fallback_chunks=1)
-        breaker.record_run(used_pool=True, fallback_chunks=1)
-        breaker.record_run(used_pool=True, fallback_chunks=0)
-        breaker.record_run(used_pool=True, fallback_chunks=1)
-        assert breaker.state == "closed"  # streak restarted at 1
-
-    def test_status_is_json_ready(self):
-        status = PoolSupervisor().status()
-        assert status["state"] == "closed"
-        assert status["cooldown_remaining_seconds"] == 0.0
-        json.dumps(status)  # must serialise for /healthz
+        monkeypatch.setenv(FAULTS_ENV, "mine_delay_ms:20")
+        assert get_faults().sites == {"mine_delay_ms": 20.0}
 
 
 class TestDeadline:
@@ -237,7 +179,7 @@ class TestTimeoutValidation:
         assert parse_mine_request({"text": "abab"}, MODEL).timeout_ms is None
 
     def test_bad_timeout_is_a_400_over_http(self, corpus):
-        service = MiningService(MODEL, linger_seconds=0.0)
+        service = MiningService(MODEL)
         with ServiceThread(service) as handle:
             with ServiceClient(*handle.address) as client:
                 with pytest.raises(ServiceError) as caught:
@@ -267,7 +209,7 @@ class TestQueuedExpiry:
                 return super().mine_documents(jobs, **kwargs)
 
         service = MiningService(
-            MODEL, engine=GatedSpyEngine(), batch_docs=4, linger_seconds=0.0
+            MODEL, engine=GatedSpyEngine(), batch_docs=4
         )
         results, errors = {}, {}
 
@@ -309,7 +251,7 @@ class TestQueuedExpiry:
         assert _identical(results["survivor"], _expected_payloads([corpus[2]]))
 
     def test_already_expired_at_admission_is_504_not_429(self, corpus):
-        service = MiningService(MODEL, linger_seconds=0.0)
+        service = MiningService(MODEL)
         with ServiceThread(service) as handle:
             with ServiceClient(*handle.address) as client:
                 try:
@@ -412,7 +354,7 @@ class TestGracefulDrain:
                 return super().mine_documents(jobs, **kwargs)
 
         service = MiningService(
-            MODEL, engine=GatedEngine(), linger_seconds=0.0
+            MODEL, engine=GatedEngine()
         )
         responses, errors = [], []
 

@@ -68,7 +68,7 @@ def corpus():
 
 class TestMineEndpoint:
     def test_response_bit_identical_to_direct_engine(self, corpus):
-        service = MiningService(MODEL, batch_docs=8, linger_seconds=0.0)
+        service = MiningService(MODEL, batch_docs=8)
         with ServiceThread(service) as handle:
             with ServiceClient(*handle.address) as client:
                 response = client.mine(texts=corpus)
@@ -97,7 +97,7 @@ class TestMineEndpoint:
                                spec=JobSpec(problem="threshold", threshold=1.5,
                                             limit=5)),
         ]
-        service = MiningService(MODEL, batch_docs=16, linger_seconds=0.01)
+        service = MiningService(MODEL, batch_docs=16)
         failures = []
 
         def worker(case, want):
@@ -136,7 +136,7 @@ class TestMineEndpoint:
                 return super().mine_documents(jobs, **kwargs)
 
         service = MiningService(
-            MODEL, backend="python", engine=SpyEngine(), linger_seconds=0.0
+            MODEL, backend="python", engine=SpyEngine()
         )
         with ServiceThread(service) as handle:
             with ServiceClient(*handle.address) as client:
@@ -153,7 +153,7 @@ class TestMineEndpoint:
             ServiceThread(service).__enter__()
 
     def test_per_request_model_override(self, corpus):
-        service = MiningService(MODEL, linger_seconds=0.0)
+        service = MiningService(MODEL)
         with ServiceThread(service) as handle:
             with ServiceClient(*handle.address) as client:
                 response = client.mine(
@@ -166,7 +166,7 @@ class TestMineEndpoint:
         ]
 
     def test_protocol_errors_are_400s(self):
-        service = MiningService(MODEL, linger_seconds=0.0)
+        service = MiningService(MODEL)
         with ServiceThread(service) as handle:
             with ServiceClient(*handle.address) as client:
                 for payload, fragment in [
@@ -183,7 +183,7 @@ class TestMineEndpoint:
                     client._call("POST", "/mine", None)
 
     def test_unknown_paths_and_methods(self):
-        service = MiningService(MODEL, linger_seconds=0.0)
+        service = MiningService(MODEL)
         with ServiceThread(service) as handle:
             with ServiceClient(*handle.address) as client:
                 with pytest.raises(Exception, match="404"):
@@ -196,7 +196,7 @@ class TestMineEndpoint:
 
 class TestObservability:
     def test_healthz_and_stats(self, corpus):
-        service = MiningService(MODEL, batch_docs=4, linger_seconds=0.0)
+        service = MiningService(MODEL, batch_docs=4)
         with ServiceThread(service) as handle:
             with ServiceClient(*handle.address) as client:
                 assert client.healthz()["status"] == "ok"
@@ -210,9 +210,9 @@ class TestObservability:
         assert stats["engine"]["executor"] == "serial"
         assert stats["uptime_seconds"] >= 0
 
-    def test_stats_reports_persistent_pool(self, corpus):
+    def test_stats_reports_the_thread_tier(self, corpus):
         service = MiningService(
-            MODEL, workers=2, batch_docs=4, linger_seconds=0.0
+            MODEL, workers=2, batch_docs=4
         )
         with ServiceThread(service) as handle:
             with ServiceClient(*handle.address) as client:
@@ -221,9 +221,11 @@ class TestObservability:
                 stats = client.stats()
         assert _identical(first, _expected_payloads(corpus))
         assert _identical(second, _expected_payloads(corpus))
-        pool = stats["engine"]["pool"]
-        assert pool == {"started": True, "starts": 1, "persistent": True}
-        assert stats["engine"]["last_run"]["fallback_chunks"] == 0
+        engine = stats["engine"]
+        assert engine["executor"] == "thread"
+        assert engine["workers"] == 2
+        native = engine["backend_resolved"] == "native"
+        assert engine["threads"] == (2 if native else 1)
 
 
 class TestBackpressure:
@@ -242,7 +244,6 @@ class TestBackpressure:
             engine=GatedEngine(),
             batch_docs=4,
             max_pending_docs=2,
-            linger_seconds=0.0,
         )
         accepted, rejected = [], []
 
@@ -281,7 +282,7 @@ class TestBackpressure:
         from repro.service import ServiceError
 
         service = MiningService(
-            MODEL, max_pending_docs=3, linger_seconds=0.0
+            MODEL, max_pending_docs=3
         )
         with ServiceThread(service) as handle:
             with ServiceClient(*handle.address) as client:
@@ -293,7 +294,7 @@ class TestBackpressure:
     def test_accepted_requests_survive_the_burst_bit_identically(self, corpus):
         """Rejections must not perturb accepted results."""
         service = MiningService(
-            MODEL, batch_docs=2, max_pending_docs=4, linger_seconds=0.0
+            MODEL, batch_docs=2, max_pending_docs=4
         )
         outcomes = []
 
@@ -330,7 +331,7 @@ class TestShutdown:
                 return super().mine_documents(jobs, **kwargs)
 
         service = MiningService(
-            MODEL, engine=SlowEngine(), batch_docs=2, linger_seconds=0.0
+            MODEL, engine=SlowEngine(), batch_docs=2
         )
         responses, errors = [], []
 
@@ -373,7 +374,7 @@ class TestShutdown:
 
     def test_bind_failure_releases_batcher_and_pool(self):
         """A service that never served must not leak its dispatcher or
-        worker pool when the port is already taken."""
+        mining threads when the port is already taken."""
         occupant = MiningService(MODEL)
         with ServiceThread(occupant) as handle:
             taken_port = handle.address[1]
@@ -382,17 +383,17 @@ class TestShutdown:
                 ServiceThread(
                     contender, port=taken_port
                 ).__enter__()
-            assert contender.engine.executor.pool.started is False
+            assert contender.engine.executor.started is False
             assert contender.batcher._task is None
 
-    def test_stop_closes_the_persistent_pool(self, corpus):
-        service = MiningService(MODEL, workers=2, batch_docs=4,
-                                linger_seconds=0.0)
+    def test_stop_closes_the_thread_pool(self, corpus):
+        service = MiningService(MODEL, workers=2, batch_docs=4)
         with ServiceThread(service) as handle:
             with ServiceClient(*handle.address) as client:
                 client.mine(texts=corpus)
-            assert service.engine.executor.pool.started is True
-        assert service.engine.executor.pool.started is False
+            native = service.backend_status()["backend_resolved"] == "native"
+            assert service.engine.executor.started is native
+        assert service.engine.executor.started is False
 
 
 class TestCalibratedServing:
@@ -401,7 +402,6 @@ class TestCalibratedServing:
         service = MiningService(
             MODEL,
             calibration=DiskCalibrationCache(cache_dir, trials=20, seed=7),
-            linger_seconds=0.0,
         )
         with ServiceThread(service) as handle:
             with ServiceClient(*handle.address) as client:
@@ -419,7 +419,6 @@ class TestCalibratedServing:
         cold = MiningService(
             MODEL,
             calibration=DiskCalibrationCache(cache_dir, trials=20, seed=7),
-            linger_seconds=0.0,
         )
         with ServiceThread(cold) as handle:
             with ServiceClient(*handle.address) as client:
@@ -431,7 +430,7 @@ class TestCalibratedServing:
 
         monkeypatch.setattr(CalibrationCache, "_simulate", boom)
         warm_cache = DiskCalibrationCache(cache_dir, trials=20, seed=7)
-        warm = MiningService(MODEL, calibration=warm_cache, linger_seconds=0.0)
+        warm = MiningService(MODEL, calibration=warm_cache)
         with ServiceThread(warm) as handle:
             with ServiceClient(*handle.address) as client:
                 second = client.mine(texts=corpus[:5])

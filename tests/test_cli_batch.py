@@ -78,8 +78,8 @@ class TestEndToEnd:
         assert main(["batch", str(corpus_dir), "--workers", "4",
                      "--correction", "bh", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        # --workers > 1 defaults to the zero-copy shared-memory executor
-        assert payload["executor"] == "shm"
+        # --workers > 1 mines on a pool of threads
+        assert payload["executor"] == "thread"
         assert payload["workers"] == 4
         assert payload["correction"] == "bh"
         # the planted burst is the most significant document
@@ -87,20 +87,9 @@ class TestEndToEnd:
         assert by_x2["doc_id"] == "doc2.txt"
         assert by_x2["significant"] is True
 
-    def test_explicit_process_executor_still_available(
-        self, corpus_dir, capsys
-    ):
-        payload = _run_json(
-            ["batch", str(corpus_dir), "--workers", "2",
-             "--executor", "process"], capsys,
-        )
-        assert payload["executor"] == "process"
-        assert payload["workers"] == 2
-
     def test_parallel_results_match_serial(self, corpus_dir, capsys):
-        serial = _run_json(
-            ["batch", str(corpus_dir), "--executor", "serial"], capsys
-        )
+        serial = _run_json(["batch", str(corpus_dir)], capsys)
+        assert serial["executor"] == "serial"
         parallel = _run_json(
             ["batch", str(corpus_dir), "--workers", "2"], capsys
         )

@@ -44,4 +44,4 @@ def test_architecture_document_covers_the_map():
 def test_readme_documents_batch_corpus_mining():
     text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     assert "--batch-docs" in text
-    assert "REPRO_CALIB_WORKERS" in text
+    assert "--workers" in text

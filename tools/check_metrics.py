@@ -49,6 +49,7 @@ REQUIRED_FAMILIES = (
     "repro_slo_burn_rate",
     "repro_slo_fast_burn_degraded",
     "repro_backend_fallback_total",
+    "repro_kernel_x2_evaluations_total",
 )
 
 _NAME = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*")
