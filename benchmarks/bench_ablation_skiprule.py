@@ -21,10 +21,10 @@ import math
 import time
 
 from repro.core.model import BernoulliModel
-from repro.core.mss import _scan_binary, _scan_generic, find_mss
 from repro.core.counts import PrefixCountIndex
 from repro.baselines.trivial import find_mss_trivial_numpy
 from repro.generators import generate_null_string
+from repro.kernels.python_backend import mss_row_binary, mss_row_generic
 
 N = 8000
 _EPS = 1e-9
@@ -88,6 +88,18 @@ def run_rounding_ablation():
     return rows, mismatches
 
 
+def _scan_rows(row_walker, prefix, n, *params):
+    """Full MSS scan through one of the reference row walkers:
+    ``(best, (start, end), evaluated)``."""
+    best, best_start, best_end, evaluated = -1.0, 0, 1, 0
+    for i in range(n - 1, -1, -1):
+        best, best_start, best_end, d_ev, _ = row_walker(
+            prefix, n, i, i + 1, best, best_start, best_end, *params
+        )
+        evaluated += d_ev
+    return best, (best_start, best_end), evaluated
+
+
 def run_fastpath_ablation():
     model = BernoulliModel.uniform("ab")
     text = generate_null_string(model, N, seed=99)
@@ -96,11 +108,13 @@ def run_fastpath_ablation():
     p = model.probabilities
 
     started = time.perf_counter()
-    fast = _scan_binary(index.prefix_lists[1], N, p[0], p[1])
+    fast = _scan_rows(mss_row_binary, index.prefix_lists[1], N, p[0], p[1])
     fast_time = time.perf_counter() - started
 
     started = time.perf_counter()
-    generic = _scan_generic(index.prefix_lists, N, p)
+    generic = _scan_rows(
+        mss_row_generic, index.prefix_lists, N, p, [1.0 / q for q in p]
+    )
     generic_time = time.perf_counter() - started
     return fast, generic, fast_time, generic_time
 

@@ -6,10 +6,10 @@ executor actually buys on one synthetic corpus and emits
 machine-readable ``results/BENCH_engine.json`` alongside the usual text
 table.  Two executor families appear as rows:
 
-* ``serial`` / ``serial-batch*`` -- the in-process baseline and the
-  corpus-batched kernel path (``batch_docs``: one ``mine_batch`` call
-  per chunk of documents), the serial amortisation win tracked across
-  PRs;
+* ``serial`` / ``serial-batch*`` -- ``ThreadExecutor(1)``, the
+  in-process baseline, and the corpus-batched kernel path
+  (``batch_docs``: one ``mine_batch`` call per chunk of documents), the
+  serial amortisation win tracked across PRs;
 * ``workers-thread*`` -- the thread tier
   (:class:`repro.engine.ThreadExecutor`): a persistent thread pool
   mining one document per task.  The native kernels release the GIL,
@@ -59,7 +59,6 @@ from repro.engine import (
     CalibrationCache,
     CorpusEngine,
     JobSpec,
-    SerialExecutor,
     ThreadExecutor,
 )
 from repro.generators import generate_null_string
@@ -121,11 +120,10 @@ def run_scaling(smoke=False, threads=None, backend=None):
             started = time.perf_counter()
             result = engine.run_texts(corpus, model, spec)
             mine_seconds = time.perf_counter() - started
-            threads = getattr(executor, "threads", None)
         rows.append({
             "mode": label,
-            "workers": getattr(executor, "workers", 1),
-            "threads": threads(backend) if threads is not None else 1,
+            "workers": executor.workers,
+            "threads": executor.threads(backend),
             "batch_docs": batch_docs,
             "mine_seconds": mine_seconds,
             "docs_per_sec": docs / mine_seconds,
@@ -134,11 +132,11 @@ def run_scaling(smoke=False, threads=None, backend=None):
             "backend_resolved": resolved,
         })
 
-    measure("serial", SerialExecutor())
+    measure("serial", ThreadExecutor(1))
     # The batched kernel path: same serial executor, chunk-of-documents
     # kernel calls.  Identical results; this is the per-PR trajectory row.
     for batch_docs in batch_sizes:
-        measure(f"serial-batch{batch_docs}", SerialExecutor(),
+        measure(f"serial-batch{batch_docs}", ThreadExecutor(1),
                 batch_docs=batch_docs)
     # The thread tier: one document per task on a persistent pool.
     for workers in threads:

@@ -110,6 +110,7 @@ def mss_null_distribution(
     seed: int | np.random.Generator | None = 0,
     *,
     backend=None,
+    executor=None,
 ) -> MSSNullDistribution:
     """Simulate the null distribution of X²max for strings of length ``n``.
 
@@ -120,7 +121,10 @@ def mss_null_distribution(
     backend scans all trials as one batched wavefront, the default
     ``"native"`` backend scans them in C, and both are several times
     faster than the ``"python"`` reference, with bit-identical samples
-    (all consume the RNG stream the same way).
+    (all consume the RNG stream the same way).  Given a
+    :class:`~repro.engine.executors.ThreadExecutor`, the native backend
+    scores its trials on that executor's threads; the samples do not
+    change.
 
     >>> model = BernoulliModel.uniform("ab")
     >>> dist = mss_null_distribution(model, 500, trials=20, seed=1)
@@ -133,7 +137,7 @@ def mss_null_distribution(
     ensure_positive_int(trials, "trials")
     rng = resolve_rng(seed)
     kernel = get_backend(backend)
-    samples = kernel.simulate_x2max(model, n, trials, rng)
+    samples = kernel.simulate_x2max(model, n, trials, rng, executor=executor)
     return MSSNullDistribution(
         n=n, alphabet_size=model.k, samples=tuple(samples)
     )

@@ -234,9 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="length floor (--problem minlength)")
     batch.add_argument("--limit", type=int, default=1000,
                        help="cap on reported substrings per document")
-    batch.add_argument("--workers", type=int, default=1,
-                       help="mining threads, one document per task on the "
-                            "native kernels (1 = serial; other backends "
+    batch.add_argument("--workers", type=int, default=None,
+                       help="mining and calibration threads on the native "
+                            "kernels, one document per task (default: one "
+                            "per usable CPU; 1 = serial; other backends "
                             "mine on one thread)")
     batch.add_argument(
         "--batch-docs",
@@ -687,14 +688,13 @@ def _run_batch(args: argparse.Namespace) -> int:
         CalibrationCache,
         CorpusEngine,
         JobSpec,
-        SerialExecutor,
         ThreadExecutor,
     )
 
     ids, texts = _read_corpus(args.input)
     if not texts:
         raise SystemExit("corpus is empty")
-    if args.workers < 1:
+    if args.workers is not None and args.workers < 1:
         raise SystemExit("--workers must be >= 1")
     if args.batch_docs is not None and args.batch_docs < 1:
         raise SystemExit("--batch-docs must be >= 1")
@@ -718,10 +718,7 @@ def _run_batch(args: argparse.Namespace) -> int:
         backend=args.backend,
     )
     engine = CorpusEngine(
-        executor=(
-            ThreadExecutor(args.workers) if args.workers > 1
-            else SerialExecutor()
-        ),
+        executor=ThreadExecutor(args.workers),
         calibration=(
             CalibrationCache(
                 trials=args.trials, seed=args.seed, backend=args.backend

@@ -13,19 +13,20 @@ once.  This subsystem is that layer:
   batched one (a chunk of documents through a single kernel
   ``mine_batch`` call -- see ``CorpusEngine(batch_docs=...)``).
 * :mod:`repro.engine.executors` -- how a job list is mined:
-  :class:`SerialExecutor` on the calling thread, or
   :class:`ThreadExecutor`, a persistent thread pool that mines one
-  document per task on the GIL-free native kernels (and on one thread
-  for every other backend).  Both are order-preserving (parallel
-  results are identical to serial); ``repro-mss batch --workers N`` and
-  ``serve --workers N`` use the thread pool.
+  document per task on the GIL-free native kernels (and on the calling
+  thread for every other backend, or with one worker).  It is
+  order-preserving, so results are identical at any thread count.
+  ``CorpusEngine()`` and ``repro-mss batch`` default to one thread per
+  usable CPU; ``serve --workers N`` defaults to one.
 * :mod:`repro.engine.deadline` -- request :class:`Deadline` objects
   tunnelled to executors via a contextvar: an expired batch stops
   before its next kernel call (or per-document task) with
   :class:`DeadlineExceeded`.
 * :mod:`repro.engine.calibration` -- :class:`CalibrationCache` memoizes
   the Monte-Carlo X²max null distribution per (model, length-bucket) so
-  the whole corpus shares a handful of simulations.
+  the whole corpus shares a handful of simulations, scored on the
+  engine's threads.
 * :mod:`repro.engine.corrections` -- Bonferroni and Benjamini-Hochberg
   adjusted p-values across the corpus.
 * :mod:`repro.engine.corpus` -- :class:`CorpusEngine.run(jobs)` ties it
@@ -54,7 +55,7 @@ from repro.engine.corrections import (
     benjamini_hochberg,
     bonferroni,
 )
-from repro.engine.executors import SerialExecutor, ThreadExecutor
+from repro.engine.executors import ThreadExecutor
 from repro.engine.jobs import (
     PROBLEMS,
     DocumentResult,
@@ -80,7 +81,6 @@ __all__ = [
     "run_job",
     "run_job_batch",
     "PROBLEMS",
-    "SerialExecutor",
     "ThreadExecutor",
     "CalibrationCache",
     "length_bucket",

@@ -260,8 +260,13 @@ class CalibrationCache:
                 )
         return distribution
 
-    def distribution_for(self, model: BernoulliModel, n: int) -> MSSNullDistribution:
-        """The (cached) null distribution covering documents of length ``n``."""
+    def distribution_for(
+        self, model: BernoulliModel, n: int, *, executor=None
+    ) -> MSSNullDistribution:
+        """The (cached) null distribution covering documents of length
+        ``n``.  A cold key simulates on ``executor``'s threads when one
+        is given (see :func:`~repro.analysis.calibration.mss_null_distribution`);
+        the samples are the same either way."""
         bucket = length_bucket(n)
         key = (model, bucket)
         with self._lock:
@@ -281,7 +286,7 @@ class CalibrationCache:
         # duplicate work but stay correct (the simulation is deterministic
         # per key, so whichever insert wins stores the identical result).
         started = time.perf_counter()
-        distribution = self._simulate(model, bucket)
+        distribution = self._simulate(model, bucket, executor=executor)
         elapsed = time.perf_counter() - started
         self.metrics.histogram(
             "repro_calibration_simulate_seconds",
@@ -314,7 +319,9 @@ class CalibrationCache:
         with self._lock:
             return self._loaded.get((fingerprint, bucket))
 
-    def _simulate(self, model: BernoulliModel, bucket: int) -> MSSNullDistribution:
+    def _simulate(
+        self, model: BernoulliModel, bucket: int, *, executor=None
+    ) -> MSSNullDistribution:
         """Run the Monte-Carlo simulation for one (model, bucket) key.
 
         The single choke-point for simulation work: the disk-backed
@@ -324,12 +331,16 @@ class CalibrationCache:
         """
         return mss_null_distribution(
             model, bucket, trials=self.trials, seed=self._key_seed(bucket),
-            backend=self.backend,
+            backend=self.backend, executor=executor,
         )
 
-    def p_value(self, model: BernoulliModel, n: int, x2_max: float) -> float:
+    def p_value(
+        self, model: BernoulliModel, n: int, x2_max: float, *, executor=None
+    ) -> float:
         """Calibrated family-wise p-value of a document's X²max."""
-        return self.distribution_for(model, n).p_value(x2_max)
+        return self.distribution_for(model, n, executor=executor).p_value(
+            x2_max
+        )
 
     def critical_value(self, model: BernoulliModel, n: int, alpha: float) -> float:
         """Calibrated rejection threshold at family level ``alpha``."""

@@ -7,23 +7,24 @@ tickers, sports analysis over many series -- all under one shared null
 model.  :class:`CorpusEngine` takes a batch of
 :class:`~repro.engine.jobs.MiningJob` values and
 
-1. mines them through a pluggable executor
-   (:mod:`repro.engine.executors`) -- serial, or a thread pool over the
-   GIL-free native kernels;
+1. mines them through an executor (:mod:`repro.engine.executors`) --
+   by default one thread per usable CPU over the GIL-free native
+   kernels, and the calling thread for every other backend;
 2. optionally replaces each document's asymptotic p-value with the
    Monte-Carlo family-wise p-value from a shared
    :class:`~repro.engine.calibration.CalibrationCache` (one simulation
-   per (model, length-bucket), not per document);
+   per (model, length-bucket), not per document, scored on the same
+   threads);
 3. applies a multiple-testing correction (Bonferroni or
    Benjamini-Hochberg) across the corpus and flags the significant
    documents;
 4. returns a :class:`CorpusResult`: per-document results in input order
    plus an aggregate :class:`~repro.core.results.ScanStats`.
 
-Parallel executors are guaranteed to produce the same per-document
-results as :class:`~repro.engine.executors.SerialExecutor` -- mining is
-deterministic and executors preserve input order -- so parallelism is a
-pure throughput knob.
+Any thread count produces the same per-document results as
+``ThreadExecutor(1)`` -- mining and calibration are deterministic and
+executors preserve input order -- so parallelism is a pure throughput
+knob.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro.core.model import BernoulliModel
 from repro.core.results import ScanStats
 from repro.engine.calibration import CalibrationCache
 from repro.engine.corrections import CORRECTIONS, adjust_p_values
-from repro.engine.executors import SerialExecutor
+from repro.engine.executors import ThreadExecutor
 from repro.engine.jobs import DocumentResult, JobSpec, MiningJob
 from repro.kernels import resolved_backend_name
 from repro.obs.metrics import MetricsRegistry, default_registry
@@ -72,7 +73,7 @@ class CorpusResult:
     correction: str
     alpha: float
     calibrated: bool
-    executor: str = "serial"
+    executor: str = "thread"
     workers: int = 1
     batch_docs: int | None = None
     elapsed_seconds: float = 0.0
@@ -141,9 +142,12 @@ class CorpusEngine:
     Parameters
     ----------
     executor:
-        Any object with ``run_jobs(jobs, *, batch_docs)`` returning one
-        result per job in job order (see :mod:`repro.engine.executors`).
-        Defaults to :class:`SerialExecutor`.
+        A :class:`~repro.engine.executors.ThreadExecutor`, or any object
+        with its ``run_jobs(jobs, *, batch_docs)``, ``threads(backend)``
+        and ``map(fn, items)``.  Defaults to ``ThreadExecutor()``: one
+        thread per usable CPU on native kernels, which mine the
+        documents and score cold calibrations on the same pool.
+        ``ThreadExecutor(1)`` mines serially and never starts a pool.
     calibration:
         A :class:`CalibrationCache` to turn each document's X²max into a
         Monte-Carlo family-wise p-value.  ``None`` keeps the asymptotic
@@ -160,11 +164,10 @@ class CorpusEngine:
         (:func:`~repro.engine.jobs.run_job_batch`) instead of one call
         per document.  Results are identical either way (enforced by the
         engine tests); per-document kernel dispatch is amortised, which
-        is a large serial win on corpora of small documents (see
-        ``benchmarks/bench_engine_scaling.py``).  ``None`` (default)
-        keeps per-document dispatch.  A
-        :class:`~repro.engine.executors.ThreadExecutor` on the
-        native kernels always mines one document per task.
+        is a large win for the numpy kernels on corpora of small
+        documents (see ``benchmarks/bench_engine_scaling.py``).
+        ``None`` (default) keeps per-document dispatch.  Native kernels
+        on more than one thread always mine one document per task.
     metrics:
         The :class:`~repro.obs.metrics.MetricsRegistry` mine/finalize
         timings, document counts and X² evaluation counts are reported
@@ -201,7 +204,7 @@ class CorpusEngine:
             )
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-        self.executor = executor if executor is not None else SerialExecutor()
+        self.executor = executor if executor is not None else ThreadExecutor()
         self.calibration = calibration
         self.correction = correction
         self.alpha = alpha
@@ -335,7 +338,9 @@ class CorpusEngine:
         ``p_corrected`` / ``significant``), mirroring what :meth:`run`
         does; ``jobs`` must be the matching job list (calibration needs
         each document's model).  ``elapsed`` is the wall time reported
-        on the result.
+        on the result.  A cold calibration key is scored on the
+        executor's pool, so call this from outside that pool's tasks
+        (the caller's thread, or the service's mine thread).
         """
         finalize_started = time.perf_counter()
         job_list = list(jobs)
@@ -347,7 +352,9 @@ class CorpusEngine:
         correction, alpha = self._resolve_correction(correction, alpha)
         if self.calibration is not None:
             for job, doc in zip(job_list, documents):
-                doc.p_value = self.calibration.p_value(job.model, doc.n, doc.x2_max)
+                doc.p_value = self.calibration.p_value(
+                    job.model, doc.n, doc.x2_max, executor=self.executor
+                )
                 doc.p_value_kind = "calibrated"
 
         adjusted = adjust_p_values([doc.p_value for doc in documents], correction)
@@ -394,9 +401,9 @@ class CorpusEngine:
 
         A :class:`~repro.engine.executors.ThreadExecutor` keeps its
         threads alive across runs -- this is how a long-running service
-        lets them go.  Executors without a ``close`` (serial) make this
-        a no-op, and the engine stays usable either way (the pool
-        restarts lazily on the next run).
+        lets them go.  Executors without a ``close`` make this a no-op,
+        and the engine stays usable either way (the pool restarts
+        lazily on the next run).
         """
         close = getattr(self.executor, "close", None)
         if close is not None:

@@ -1,28 +1,33 @@
-"""Executors: how the corpus engine mines a job list.
+"""The executor: how the corpus engine mines a job list.
 
-Two strategies behind one contract, ``run_jobs(jobs, batch_docs=...)``
-returning one :class:`~repro.engine.jobs.DocumentResult` per job:
+:class:`ThreadExecutor` honours one contract,
+``run_jobs(jobs, batch_docs=...)`` returning one
+:class:`~repro.engine.jobs.DocumentResult` per job, on a persistent
+pool of threads, one task per document.  Only the compiled ``native``
+kernels gain from it: their ctypes calls release the GIL and the C
+source has no mutable globals, so documents mine in parallel inside one
+process.  Jobs on any other backend (numpy, python, or ``native``
+fallen back to numpy on a host without a compiler) hold the GIL, and
+threads would only add contention, so the executor mines those on the
+calling thread, ``batch_docs`` documents per kernel call.  So does
+``ThreadExecutor(1)``, the serial reference for correctness, which
+never starts a pool.  With no argument the executor takes one thread
+per usable CPU (its affinity mask where the OS has one).
 
-* :class:`SerialExecutor` -- the calling thread mines everything,
-  ``batch_docs`` documents per kernel call (one call per document when
-  ``batch_docs`` is ``None``); the reference for correctness.
-* :class:`ThreadExecutor` -- a persistent pool of threads, one task per
-  document.  Only the compiled ``native`` kernels gain from it: their
-  ctypes calls release the GIL and the C source has no mutable globals,
-  so documents mine in parallel inside one process.  Jobs on any other
-  backend (numpy, python, or ``native`` fallen back to numpy on a host
-  without a compiler) hold the GIL, and threads would only add
-  contention, so the executor mines those on the calling thread exactly
-  as :class:`SerialExecutor` does.
+Results keep job order, so they are identical to serial regardless of
+completion order -- the engine's parity guarantee rests on this.  A
+batch deadline installed with
+:func:`~repro.engine.deadline.set_active_deadline` is checked before
+each kernel call (calling thread) or before each per-document task
+starts and while results are collected (pool), and an expired run stops
+with :class:`~repro.engine.deadline.DeadlineExceeded` instead of mining
+the remaining documents.
 
-Both preserve job order, so results are identical to serial regardless
-of completion order -- the engine's parity guarantee rests on this.
-Both honour a batch deadline installed with
-:func:`~repro.engine.deadline.set_active_deadline`: it is checked before
-each kernel call (serial) or before each per-document task starts and
-while results are collected (threads), and an expired run stops with
-:class:`~repro.engine.deadline.DeadlineExceeded` instead of mining the
-remaining documents.
+The same pool scores Monte-Carlo calibration:
+:class:`~repro.engine.corpus.CorpusEngine` hands its executor to the
+calibration cache, and the native ``simulate_x2max`` scores each
+chunk's trials through :meth:`ThreadExecutor.map`, so an engine runs
+one pool, not two.
 """
 
 from __future__ import annotations
@@ -30,13 +35,23 @@ from __future__ import annotations
 import concurrent.futures
 import os
 import threading
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.engine.deadline import DeadlineExceeded, active_deadline
 from repro.engine.jobs import DocumentResult, MiningJob, run_job, run_job_batch
 from repro.kernels import resolved_backend_name
 
-__all__ = ["SerialExecutor", "ThreadExecutor"]
+__all__ = ["ThreadExecutor"]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has
+    one (so ``taskset`` and container CPU sets are respected), else
+    ``os.cpu_count()``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS, Windows)
+        return os.cpu_count() or 1
 
 
 def _check_deadline(deadline, unmined: int) -> None:
@@ -68,45 +83,27 @@ def _mine_serially(
     return documents
 
 
-class SerialExecutor:
-    """Mine every job on the calling thread, in order.
-
-    >>> SerialExecutor().workers
-    1
-    """
-
-    name = "serial"
-    workers = 1
-
-    def run_jobs(
-        self, jobs: Sequence[MiningJob], *, batch_docs: int | None = None
-    ) -> list[DocumentResult]:
-        """Mine every job on this thread, ``batch_docs`` documents per
-        kernel call (one per document when ``None``)."""
-        return _mine_serially(jobs, batch_docs, active_deadline())
-
-    def __repr__(self) -> str:
-        return "SerialExecutor()"
-
-
 class ThreadExecutor:
     """Mine documents on a persistent pool of threads.
 
-    The pool starts on the first parallel run and lives until
-    :meth:`close`, so a service pays thread start-up once.  A run goes
-    parallel only when every job's backend resolves to ``native``
-    (:meth:`threads`); otherwise it mines on the calling thread in
-    ``batch_docs`` chunks.
+    ``workers`` defaults to one per usable CPU.  The pool starts on the
+    first parallel run and lives until :meth:`close`, so a service pays
+    thread start-up once.  A run goes parallel only when every job's
+    backend resolves to ``native`` (:meth:`threads`); otherwise it
+    mines on the calling thread in ``batch_docs`` chunks, as
+    ``ThreadExecutor(1)`` always does.
 
     >>> ThreadExecutor(workers=2).threads("python")
     1
+    >>> ThreadExecutor(1).started
+    False
     """
 
     name = "thread"
 
     def __init__(self, workers: int | None = None) -> None:
         self.workers = max(
-            1, workers if workers is not None else (os.cpu_count() or 1)
+            1, workers if workers is not None else _usable_cpus()
         )
         self._pool: concurrent.futures.ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
@@ -130,6 +127,19 @@ class ThreadExecutor:
                     max_workers=self.workers, thread_name_prefix="repro-miner"
                 )
             return self._pool
+
+    def map(self, fn: Callable, items: Iterable) -> list:
+        """``[fn(item) for item in items]``, one pool task per item.
+
+        Native calibration passes one row slice per :meth:`threads`.
+        A single item, or a one-worker executor, runs on the calling
+        thread.  Never call it from inside a pool task: the task would
+        wait on work queued behind itself.
+        """
+        items = list(items)
+        if self.workers == 1 or len(items) <= 1:
+            return [fn(item) for item in items]
+        return list(self._ensure_pool().map(fn, items))
 
     def run_jobs(
         self, jobs: Sequence[MiningJob], *, batch_docs: int | None = None

@@ -78,11 +78,14 @@ Scan methods:
     be ragged, including empty.  A ``threshold`` spec with a ``limit``
     must truncate each document exactly where its single-document scan
     would -- same match prefix, same stopping point, same counters.
-``simulate_x2max(model, n, trials, seed)``
+``simulate_x2max(model, n, trials, seed, executor=None)``
     -> list of ``trials`` X²max samples of null strings, consuming the
     seeded RNG stream exactly as ``trials`` sequential length-``n``
     multinomial draws (one per trial, row-major) so samples match the
-    reference bitwise.
+    reference bitwise.  A backend whose scans release the GIL may score
+    the drawn trials on ``executor`` (a
+    :class:`~repro.engine.executors.ThreadExecutor`: ``map`` over
+    ``threads(backend)`` slices); the others ignore it.
 
 Auxiliary kernels (routed baselines/analysis):
 

@@ -471,37 +471,10 @@ void repro_free(void *ptr)
     free(ptr);
 }
 
-/* Whole-corpus best-substring batch: one call scans ``docs`` ragged
- * documents (mats[d] is document d's (k, ns[d] + 1) prefix matrix) and
- * fills one result slot each -- the mss path when off == 1 and
- * !generic_only, the Problem 4 path otherwise.                         */
-int32_t repro_mine_batch_best(const int64_t *const *mats, const int64_t *ns,
-                              int64_t docs, int64_t k,
-                              const double *probs, const double *inv_p,
-                              int64_t off, int32_t generic_only, double eps,
-                              double *out_best, int64_t *out_start,
-                              int64_t *out_end, int64_t *out_eval,
-                              int64_t *out_skip)
-{
-    int64_t *scratch = malloc((size_t)(2 * k) * sizeof(int64_t));
-    if (!scratch)
-        return 1;
-    const int use_binary = k == 2 && !generic_only;
-    for (int64_t d = 0; d < docs; d++) {
-        int64_t work[2];
-        scan_best_core(mats[d], ns[d], k, probs, inv_p, off, use_binary,
-                       eps, scratch, scratch + k,
-                       &out_best[d], &out_start[d], &out_end[d], work);
-        out_eval[d] = work[0];
-        out_skip[d] = work[1];
-    }
-    free(scratch);
-    return 0;
-}
-
 /* Monte-Carlo calibration chunk: ``codes`` is (t, n) row-major encoded
- * null draws; each trial builds its prefix matrix into shared scratch
- * and runs the full mss scan, writing X²max into out_best[trial].      */
+ * null draws; each trial builds its prefix matrix into the call's own
+ * scratch and runs the full mss scan, writing X²max into
+ * out_best[trial].  Calls on disjoint row slices may run concurrently. */
 int32_t repro_calibrate_chunk(const int64_t *codes, int64_t t, int64_t n,
                               int64_t k, const double *probs,
                               const double *inv_p, double eps,

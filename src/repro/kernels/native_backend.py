@@ -174,11 +174,6 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     ]
     lib.repro_free.restype = None
     lib.repro_free.argtypes = [ctypes.c_void_p]
-    lib.repro_mine_batch_best.restype = i32
-    lib.repro_mine_batch_best.argtypes = [
-        ctypes.POINTER(_PI64), _PI64, i64, i64, _PF64, _PF64, i64, i32, f64,
-        _PF64, _PI64, _PI64, _PI64, _PI64,
-    ]
     lib.repro_calibrate_chunk.restype = i32
     lib.repro_calibrate_chunk.argtypes = [
         _PI64, i64, i64, i64, _PF64, _PF64, f64, _PF64,
@@ -265,6 +260,21 @@ def _native_x2max_chunk(sub, n, k, probabilities):
     if rc != 0:
         raise MemoryError("native calibration chunk: allocation failed")
     return out.tolist()
+
+
+def _sliced(chunk_fn, executor, threads):
+    """``chunk_fn`` scoring each chunk as ``threads`` contiguous row
+    slices on ``executor``'s pool, samples kept in row order.  Every C
+    call mallocs its own scratch, so the slices run independently."""
+
+    def score(sub, n, k, probabilities):
+        parts = executor.map(
+            lambda rows: chunk_fn(rows, n, k, probabilities),
+            np.array_split(sub, min(threads, len(sub))),
+        )
+        return [x2 for part in parts for x2 in part]
+
+    return score
 
 
 def _parity_self_check(backend: "NativeBackend") -> str | None:
@@ -497,65 +507,28 @@ class NativeBackend:
     # -- batch + calibration ------------------------------------------
 
     def mine_batch(self, indexes, model, spec):
-        """Mine a whole corpus chunk in one call (the ``mine_batch``
-        contract): ``mss``/``minlength`` go through one batched C call
-        over per-document matrix pointers; ``top``/``threshold`` run the
-        per-document reference dispatch over the native scans, which is
-        the single-document scan by construction."""
+        """Mine a corpus chunk (the ``mine_batch`` contract): the
+        per-document reference dispatch over the native scans, which
+        is the single-document scan by construction."""
         self._ensure()
         if self._lib is None:
             return self._numpy.mine_batch(indexes, model, spec)
-        if spec.problem in ("mss", "minlength"):
-            return self._mine_batch_best(indexes, model, spec)
         return [mine_reference(self, index, model, spec) for index in indexes]
 
-    def _mine_batch_best(self, indexes, model, spec):
-        indexes = list(indexes)
-        docs = len(indexes)
-        if docs == 0:
-            return []
-        off = 1 if spec.problem == "mss" else int(spec.min_length)
-        generic_only = 0 if spec.problem == "mss" else 1
-        probs, inv_p = _model_arrays(model)
-        mats = []  # keeps each document's matrix alive across the call
-        ptrs = (_PI64 * docs)()
-        ns = np.empty(docs, dtype=np.int64)
-        for d, index in enumerate(indexes):
-            mat = np.ascontiguousarray(index.counts_matrix())
-            mats.append(mat)
-            ptrs[d] = mat.ctypes.data_as(_PI64)
-            ns[d] = index.n
-        out_best = np.empty(docs, dtype=np.float64)
-        out_start = np.empty(docs, dtype=np.int64)
-        out_end = np.empty(docs, dtype=np.int64)
-        out_eval = np.empty(docs, dtype=np.int64)
-        out_skip = np.empty(docs, dtype=np.int64)
-        rc = self._lib.repro_mine_batch_best(
-            ptrs, ns.ctypes.data_as(_PI64), docs, model.k,
-            probs.ctypes.data_as(_PF64), inv_p.ctypes.data_as(_PF64),
-            off, generic_only, ROOT_EPSILON,
-            out_best.ctypes.data_as(_PF64), out_start.ctypes.data_as(_PI64),
-            out_end.ctypes.data_as(_PI64), out_eval.ctypes.data_as(_PI64),
-            out_skip.ctypes.data_as(_PI64),
-        )
-        if rc != 0:
-            raise MemoryError("native mine_batch: allocation failed")
-        return [
-            (
-                float(out_best[d]), (int(out_start[d]), int(out_end[d])),
-                int(out_eval[d]), int(out_skip[d]),
-            )
-            for d in range(docs)
-        ]
-
-    def simulate_x2max(self, model, n, trials, seed):
+    def simulate_x2max(self, model, n, trials, seed, executor=None):
         """Monte-Carlo X²max samples through the shared chunked driver
         (draws stay sequential in the driver; the per-chunk prefix build
-        and scans run in C), bit-identical to the reference."""
+        and scans run in C), bit-identical to the reference.  With an
+        ``executor``, each chunk's rows are scored as
+        ``executor.threads(self)`` contiguous slices on its pool."""
         self._ensure()
         if self._lib is None:
             return self._numpy.simulate_x2max(model, n, trials, seed)
-        return _simulate_chunked(_native_x2max_chunk, model, n, trials, seed)
+        chunk_fn = _native_x2max_chunk
+        threads = 1 if executor is None else executor.threads(self)
+        if threads > 1:
+            chunk_fn = _sliced(chunk_fn, executor, threads)
+        return _simulate_chunked(chunk_fn, model, n, trials, seed)
 
     # -- auxiliary kernels (delegated) --------------------------------
 

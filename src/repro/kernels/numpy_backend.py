@@ -1240,7 +1240,7 @@ class NumpyBackend:
     # Monte-Carlo calibration
     # ------------------------------------------------------------------
 
-    def simulate_x2max(self, model, n, trials, seed):
+    def simulate_x2max(self, model, n, trials, seed, executor=None):
         """X²max of ``trials`` null strings, all simulated as one batch.
 
         The sample matrix (drawn in memory-bounded chunks of trials)
@@ -1255,7 +1255,8 @@ class NumpyBackend:
 
         The chunked-draw mechanics live in the shared
         :func:`_simulate_chunked` driver (the native backend reuses it
-        with its own chunk function).
+        with its own chunk function).  The scans hold the GIL, so they
+        run on the calling thread and ``executor`` is ignored.
         """
         return _simulate_chunked(_x2max_chunk, model, n, trials, seed)
 

@@ -527,13 +527,14 @@ class PythonBackend:
                 e += skip + 1
         return records, best, evaluated, skipped
 
-    def simulate_x2max(self, model, n, trials, seed):
+    def simulate_x2max(self, model, n, trials, seed, executor=None):
         """Monte-Carlo X²max samples: ``trials`` sequential null scans.
 
         Draws consume the RNG stream exactly as the seed implementation
         did (one length-``n`` multinomial draw per trial); the scan runs
         directly on the encoded draw, skipping the historical
-        decode/encode round-trip, which cannot change the counts.
+        decode/encode round-trip, which cannot change the counts.  The
+        scans run on the calling thread; ``executor`` is ignored.
         """
         from repro.core.counts import PrefixCountIndex
 

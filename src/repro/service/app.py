@@ -70,7 +70,7 @@ from repro.core.model import BernoulliModel
 from repro.engine.calibration import CalibrationCache
 from repro.engine.corpus import CorpusEngine
 from repro.engine.deadline import Deadline, DeadlineExceeded
-from repro.engine.executors import SerialExecutor, ThreadExecutor
+from repro.engine.executors import ThreadExecutor
 from repro.kernels import get_backend
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
@@ -115,12 +115,13 @@ class MiningService:
         The service's default null model (requests may override it with
         an explicit ``alphabet``/``probs``).
     workers:
-        Mining threads.  ``> 1`` builds a
-        :class:`~repro.engine.executors.ThreadExecutor` whose pool lives
-        until :meth:`stop` and mines each batch one document per task
-        on the native kernels.  When the backend resolves to numpy or
-        python (a host without a compiler) batches mine on one thread,
-        as with ``workers=1``; ``/stats`` reports the thread count that
+        Mining threads of the engine's
+        :class:`~repro.engine.executors.ThreadExecutor`.  ``> 1``
+        starts a pool that lives until :meth:`stop`, mines each batch
+        one document per task on the native kernels and scores cold
+        calibrations.  When the backend resolves to numpy or python (a
+        host without a compiler) batches mine on one thread, as with
+        ``workers=1``; ``/stats`` reports the thread count that
         actually mines (``engine.threads``).
     batch_docs:
         Micro-batch target size (documents per dispatched batch, and
@@ -194,11 +195,8 @@ class MiningService:
                 f"drain_timeout must be >= 0, got {drain_timeout!r}"
             )
         if engine is None:
-            executor = (
-                ThreadExecutor(workers) if workers > 1 else SerialExecutor()
-            )
             engine = CorpusEngine(
-                executor=executor,
+                executor=ThreadExecutor(workers),
                 calibration=calibration,
                 correction=correction,
                 alpha=alpha,

@@ -124,8 +124,11 @@ class DiskCalibrationCache(CalibrationCache):
         fingerprint = model_fingerprint(model, self.trials, self.seed)
         return self.cache_dir / f"{fingerprint[:40]}-b{bucket}.json"
 
-    def distribution_for(self, model: BernoulliModel, n: int) -> MSSNullDistribution:
-        """The cached null distribution: memory, then disk, then simulate."""
+    def distribution_for(
+        self, model: BernoulliModel, n: int, *, executor=None
+    ) -> MSSNullDistribution:
+        """The cached null distribution: memory, then disk, then simulate
+        (on ``executor``'s threads when one is given)."""
         bucket = length_bucket(n)
         key = (model, bucket)
         with self._lock:
@@ -145,7 +148,7 @@ class DiskCalibrationCache(CalibrationCache):
         self._event("disk_miss")
         with self._lock:
             self.disk_misses += 1
-        distribution = super().distribution_for(model, n)
+        distribution = super().distribution_for(model, n, executor=executor)
         self._write_entry(model, bucket, distribution)
         return distribution
 

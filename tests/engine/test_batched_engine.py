@@ -4,7 +4,8 @@
 problem, backend, executor and batch size -- including batch sizes of 1,
 sizes that do not divide the corpus, and sizes larger than it -- the
 per-document payloads are byte-identical to the per-document dispatch
-path.
+path.  The serial engine (``ThreadExecutor(1)``) is the one that honours
+``batch_docs`` on every backend, so it is the one under test here.
 """
 
 import json
@@ -16,7 +17,6 @@ from repro.engine import (
     CorpusEngine,
     JobSpec,
     MiningJob,
-    SerialExecutor,
     ThreadExecutor,
     run_job,
     run_job_batch,
@@ -41,6 +41,10 @@ def corpus(model):
     return texts
 
 
+def _serial(**kwargs):
+    return CorpusEngine(executor=ThreadExecutor(1), **kwargs)
+
+
 def _canonical(result):
     return json.dumps(
         [doc.payload(include_timing=False) for doc in result.documents],
@@ -61,9 +65,9 @@ SPECS = [
 class TestBatchedParity:
     @pytest.mark.parametrize("spec", SPECS, ids=repr)
     def test_batch_docs_is_invisible(self, model, corpus, spec):
-        reference = _canonical(CorpusEngine().run_texts(corpus, model, spec))
+        reference = _canonical(_serial().run_texts(corpus, model, spec))
         for batch_docs in (1, 4, 10, 23, 99):
-            batched = CorpusEngine(batch_docs=batch_docs).run_texts(
+            batched = _serial(batch_docs=batch_docs).run_texts(
                 corpus, model, spec
             )
             assert _canonical(batched) == reference, batch_docs
@@ -72,13 +76,13 @@ class TestBatchedParity:
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_batched_parity_per_backend(self, model, corpus, backend):
         spec = JobSpec(backend=backend)
-        reference = _canonical(CorpusEngine().run_texts(corpus, model, spec))
-        batched = CorpusEngine(batch_docs=6).run_texts(corpus, model, spec)
+        reference = _canonical(_serial().run_texts(corpus, model, spec))
+        batched = _serial(batch_docs=6).run_texts(corpus, model, spec)
         assert _canonical(batched) == reference
 
     def test_batched_with_parallel_executors(self, model, corpus):
-        reference = _canonical(CorpusEngine().run_texts(corpus, model))
-        for executor in (SerialExecutor(), ThreadExecutor(workers=3)):
+        reference = _canonical(_serial().run_texts(corpus, model))
+        for executor in (ThreadExecutor(1), ThreadExecutor(workers=3)):
             batched = CorpusEngine(executor=executor, batch_docs=5).run_texts(
                 corpus, model
             )
@@ -94,8 +98,8 @@ class TestBatchedParity:
             MiningJob(f"doc-{i}", text, specs[i % 3], model)
             for i, text in enumerate(corpus)
         ]
-        reference = _canonical(CorpusEngine().run(jobs))
-        batched = _canonical(CorpusEngine().run(jobs, batch_docs=7))
+        reference = _canonical(_serial().run(jobs))
+        batched = _canonical(_serial().run(jobs, batch_docs=7))
         assert batched == reference
 
 

@@ -12,7 +12,6 @@ from repro.engine import (
     CorpusEngine,
     JobSpec,
     MiningJob,
-    SerialExecutor,
     ThreadExecutor,
     run_job,
 )
@@ -131,7 +130,7 @@ class TestExecutorParity:
 
     @pytest.fixture(scope="class")
     def serial_result(self, model, corpus):
-        return CorpusEngine(executor=SerialExecutor()).run_texts(corpus, model)
+        return CorpusEngine(executor=ThreadExecutor(1)).run_texts(corpus, model)
 
     def _canonical_bytes(self, result):
         return json.dumps(
@@ -338,9 +337,9 @@ class TestMineFinalizeSplit:
         import time as time_module
 
         class SlowCache(CalibrationCache):
-            def p_value(self, model, n, x2_max):
+            def p_value(self, model, n, x2_max, **kwargs):
                 time_module.sleep(0.02)
-                return super().p_value(model, n, x2_max)
+                return super().p_value(model, n, x2_max, **kwargs)
 
         engine = CorpusEngine(calibration=SlowCache(trials=10, seed=0))
         result = engine.run_texts(_corpus(model, 2, 80), model)

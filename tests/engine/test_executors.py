@@ -1,9 +1,9 @@
-"""The executors: serial and the thread tier, bit-identical to serial.
+"""The thread tier, bit-identical to serial.
 
-``ThreadExecutor`` is only allowed to exist because it is the serial
-engine, faster: every per-document payload -- scores, intervals,
-substring orderings, evaluated/skipped counters, truncation flags --
-must equal :class:`~repro.engine.executors.SerialExecutor`'s across
+``ThreadExecutor`` with several workers is only allowed to exist
+because it is the serial engine, faster: every per-document payload --
+scores, intervals, substring orderings, evaluated/skipped counters,
+truncation flags -- must equal ``ThreadExecutor(1)``'s across
 problems, backends, worker counts and batch sizes.  Native kernels mine
 one document per thread task; every other backend mines on the calling
 thread.  An expired batch deadline stops a run before its remaining
@@ -25,7 +25,6 @@ from repro.engine import (
     DeadlineExceeded,
     JobSpec,
     MiningJob,
-    SerialExecutor,
     ThreadExecutor,
     reset_active_deadline,
     set_active_deadline,
@@ -59,6 +58,10 @@ def corpus(model):
     return texts
 
 
+def _serial(**kwargs):
+    return CorpusEngine(executor=ThreadExecutor(1), **kwargs)
+
+
 def _canonical(result):
     return json.dumps(
         [doc.payload(include_timing=False) for doc in result.documents],
@@ -86,7 +89,7 @@ class TestThreadParity:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_equal_to_serial(self, model, corpus, spec, backend, workers):
         spec = JobSpec(**{**spec.__dict__, "backend": backend})
-        reference = CorpusEngine().run_texts(corpus, model, spec)
+        reference = _serial().run_texts(corpus, model, spec)
         with ThreadExecutor(workers) as executor:
             threaded = CorpusEngine(executor=executor).run_texts(
                 corpus, model, spec
@@ -113,7 +116,7 @@ class TestThreadParity:
 
     @pytest.mark.parametrize("batch_docs", [None, 1, 3, 999])
     def test_batch_docs_is_invisible(self, model, corpus, batch_docs):
-        reference = _canonical(CorpusEngine().run_texts(corpus, model))
+        reference = _canonical(_serial().run_texts(corpus, model))
         with ThreadExecutor(2) as executor:
             result = CorpusEngine(executor=executor).run_texts(
                 corpus, model, batch_docs=batch_docs
@@ -131,7 +134,7 @@ class TestThreadParity:
             MiningJob(f"doc-{i}", text, specs[i % 4], model)
             for i, text in enumerate(corpus)
         ]
-        reference = _canonical(CorpusEngine().run(jobs))
+        reference = _canonical(_serial().run(jobs))
         with ThreadExecutor(2) as executor:
             assert _canonical(CorpusEngine(executor=executor).run(jobs)) == (
                 reference
@@ -156,7 +159,7 @@ class TestThreadParity:
                     backend="native"),
             JobSpec(problem="minlength", min_length=20, backend="native"),
         ]
-        serial = CorpusEngine()
+        serial = _serial()
         metrics = MetricsRegistry()
         evaluated = 0
         interval = sys.getswitchinterval()
@@ -242,7 +245,7 @@ class TestThreadTier:
 
     def test_pool_is_persistent_and_restartable(self, model, corpus):
         executor = ThreadExecutor(2)
-        reference = _canonical(CorpusEngine().run_texts(corpus, model))
+        reference = _canonical(_serial().run_texts(corpus, model))
         with CorpusEngine(executor=executor) as engine:
             for _ in range(2):
                 assert _canonical(engine.run_texts(corpus, model)) == reference
@@ -296,7 +299,7 @@ class TestDeadlines:
     def test_serial_path_checks_before_each_kernel_call(self, model):
         jobs = self._jobs(model, 6, JobSpec(backend="python"))
         expired = Deadline(time.monotonic() - 1.0)
-        for executor in (SerialExecutor(), ThreadExecutor(2)):
+        for executor in (ThreadExecutor(1), ThreadExecutor(2)):
             for batch_docs in (None, 2):
                 with pytest.raises(DeadlineExceeded, match="6 or more"):
                     self._run(executor, jobs, expired, batch_docs)
@@ -312,7 +315,7 @@ class TestDeadlines:
             MiningJob(f"doc-{i}", text, JobSpec(), model)
             for i, text in enumerate(corpus)
         ]
-        reference = CorpusEngine().mine_documents(jobs)
+        reference = _serial().mine_documents(jobs)
         with ThreadExecutor(2) as executor:
             mined = self._run(executor, jobs, Deadline(time.monotonic() + 60))
         assert [d.payload(include_timing=False) for d in mined] == [

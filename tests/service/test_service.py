@@ -207,7 +207,7 @@ class TestObservability:
         assert batcher["docs_total"] == 6
         assert batcher["batches"] >= 1
         assert batcher["batch_fill"] > 0
-        assert stats["engine"]["executor"] == "serial"
+        assert stats["engine"]["executor"] == "thread"
         assert stats["uptime_seconds"] >= 0
 
     def test_stats_reports_the_thread_tier(self, corpus):
@@ -425,7 +425,7 @@ class TestCalibratedServing:
                 first = client.mine(texts=corpus[:5])
 
         # restart: any Monte-Carlo simulation is now a hard failure
-        def boom(self, model, bucket):
+        def boom(self, model, bucket, **kwargs):
             raise AssertionError("warm restart ran Monte-Carlo trials")
 
         monkeypatch.setattr(CalibrationCache, "_simulate", boom)

@@ -17,7 +17,7 @@ def model():
 def _no_simulation(monkeypatch):
     """Make any Monte-Carlo simulation a hard failure."""
 
-    def boom(self, model, bucket):
+    def boom(self, model, bucket, **kwargs):
         raise AssertionError(
             f"simulated (model k={model.k}, bucket={bucket}) despite a "
             f"populated disk cache"

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 
 import pytest
 
@@ -87,9 +88,19 @@ class TestEndToEnd:
         assert by_x2["doc_id"] == "doc2.txt"
         assert by_x2["significant"] is True
 
+    def test_default_workers_is_every_usable_cpu(self, corpus_dir, capsys):
+        payload = _run_json(["batch", str(corpus_dir)], capsys)
+        assert payload["executor"] == "thread"
+        assert payload["workers"] == (
+            len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count()
+        )
+
     def test_parallel_results_match_serial(self, corpus_dir, capsys):
-        serial = _run_json(["batch", str(corpus_dir)], capsys)
-        assert serial["executor"] == "serial"
+        serial = _run_json(
+            ["batch", str(corpus_dir), "--workers", "1"], capsys
+        )
+        assert serial["executor"] == "thread"
         parallel = _run_json(
             ["batch", str(corpus_dir), "--workers", "2"], capsys
         )
