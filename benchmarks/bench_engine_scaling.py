@@ -9,12 +9,15 @@ table.  Two executor families appear as rows:
 * ``serial`` / ``serial-batch*`` -- ``ThreadExecutor(1)``, the
   in-process baseline, and the corpus-batched kernel path
   (``batch_docs``: one ``mine_batch`` call per chunk of documents), the
-  serial amortisation win tracked across PRs;
+  serial amortisation win tracked across PRs.  On native kernels both
+  run the lane walker on the calling thread (four scans in flight;
+  ``batch_docs`` does not apply there), so they read alike;
 * ``workers-thread*`` -- the thread tier
   (:class:`repro.engine.ThreadExecutor`): a persistent thread pool
-  mining one document per task.  The native kernels release the GIL,
-  so these rows scale with cores; on any other backend the executor
-  mines on one thread and the rows read as serial.
+  whose threads all run the lane walker over one shared claim cursor.
+  The native kernels release the GIL, so these rows scale with cores;
+  on any other backend the executor mines on one thread and the rows
+  read as serial.
 
 Honest measurement notes:
 
@@ -138,7 +141,7 @@ def run_scaling(smoke=False, threads=None, backend=None):
     for batch_docs in batch_sizes:
         measure(f"serial-batch{batch_docs}", ThreadExecutor(1),
                 batch_docs=batch_docs)
-    # The thread tier: one document per task on a persistent pool.
+    # The thread tier: every pool thread's lanes claim from one cursor.
     for workers in threads:
         measure(f"workers-thread{workers}", ThreadExecutor(workers))
 
@@ -173,12 +176,13 @@ def emit_json(calibrate_seconds, rows, meta):
         "phases": {
             "calibrate_seconds": calibrate_seconds,
             "note": "calibration cache pre-warmed once; every mode row "
-                    "times the mine phase only; serial-batch* rows run "
-                    "the corpus-batched kernel path (batch_docs); "
-                    "workers-thread* rows mine one document per task on "
-                    "a persistent thread pool ('threads' is how many "
-                    "actually mined: one unless the backend resolved to "
-                    "native)",
+                    "times the mine phase only; serial-batch* rows pass "
+                    "batch_docs (the corpus-batched kernel path on numpy; "
+                    "native runs the lane walker either way); "
+                    "workers-thread* rows mine on the lane walker of "
+                    "every thread of a persistent pool ('threads' is how "
+                    "many actually mined: one unless the backend "
+                    "resolved to native)",
         },
         "results": rows,
     }

@@ -6,6 +6,14 @@ Times the MSS scan, the Monte-Carlo X²max calibration and the packed
 targets (n >= 4096), asserts the results are bit-identical, and emits
 machine-readable ``results/BENCH_kernels.json``.
 
+Every row records ``evaluated`` (X² evaluations, the paper's cost
+measure, identical on every backend) and ``native_ns_per_eval``, which
+separates "fewer evaluations" (pruning) from "cheaper evaluations"
+(backend work).  ``mss`` rows time lone single-document scans;
+``mine_batch`` and ``calibration`` rows run the native lane walker
+(four scans in flight on the calling thread), so their
+``native_ns_per_eval`` against the ``mss`` rows' is what the lanes buy.
+
 Headline expectations (checked by ``--strict``, recorded in the JSON):
 
 * MSS scans: numpy >= 3x python for n >= 4096;
@@ -43,6 +51,8 @@ import os
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from repro.analysis.calibration import mss_null_distribution
 from repro.core.counts import PrefixCountIndex
@@ -159,8 +169,32 @@ def _mss_case(k, n):
         n=n,
     )
     row["strings"] = _MSS_STRINGS
-    row["evaluated"] = sum(r[2] for r in timings["python"][1])
+    return _with_evaluations(row, sum(r[2] for r in timings["python"][1]))
+
+
+def _with_evaluations(row, evaluated):
+    """Add ``evaluated`` and the native nanoseconds per evaluation."""
+    row["evaluated"] = evaluated
+    row["native_ns_per_eval"] = (
+        None if row["native_seconds"] is None
+        else 1e9 * row["native_seconds"] / evaluated
+    )
     return row
+
+
+def _calibration_scans(model, n, trials, seed):
+    """``(X²max samples, X² evaluations)`` of a calibration run: its
+    trials' strings redrawn from the same stream (chunked draws consume
+    it as one ``(trials, n)`` draw) and scanned one by one."""
+    codes = np.random.default_rng(seed).choice(
+        model.k, size=(trials, n), p=np.asarray(model.probabilities)
+    )
+    kernel = get_backend("numpy")
+    scans = [
+        kernel.scan_mss(PrefixCountIndex(row, model.k), model)
+        for row in codes
+    ]
+    return [scan[0] for scan in scans], sum(scan[2] for scan in scans)
 
 
 def _calibration_case(k, n, trials):
@@ -180,7 +214,12 @@ def _calibration_case(k, n, trials):
     )
     # k == 2 stays informational: see the module docstring.
     row["native_gated"] = k > 2
-    return row
+    samples, evaluated = _calibration_scans(model, n, trials, seed=9)
+    # The distribution keeps its samples sorted.
+    row["parity"] = row["parity"] and (
+        tuple(sorted(samples)) == timings["python"][1].samples
+    )
+    return _with_evaluations(row, evaluated)
 
 
 def _batch_case(k, docs, n):
@@ -198,7 +237,7 @@ def _batch_case(k, docs, n):
     timings = _timed(
         lambda backend: get_backend(backend).mine_batch(indexes, model, spec)
     )
-    return _row(
+    row = _row(
         "mine_batch",
         timings,
         lambda got, ref: got == ref,
@@ -206,6 +245,7 @@ def _batch_case(k, docs, n):
         n=n,
         docs=docs,
     )
+    return _with_evaluations(row, sum(r[2] for r in timings["python"][1]))
 
 
 def run_cases(smoke=False):
@@ -281,6 +321,10 @@ def _fmt_speedup(value):
     return f"{value:>7.2f}x" if value is not None else f"{'-':>8}"
 
 
+def _fmt_ns(value):
+    return f"{value:>7.1f}" if value is not None else f"{'-':>7}"
+
+
 def _render(payload, emit):
     emit(
         f"Kernel backends ({payload['cpu_count']} cpu core(s), "
@@ -291,7 +335,7 @@ def _render(payload, emit):
     header = (
         f"{'kind':>12} {'k':>3} {'n':>6} {'extra':>6}  "
         f"{'python':>8}  {'numpy':>8}  {'native':>8}  "
-        f"{'np-spd':>8}  {'nat/np':>8}  {'parity':>6}"
+        f"{'np-spd':>8}  {'nat/np':>8}  {'ns/eval':>7}  {'parity':>6}"
     )
     emit(header)
     emit("-" * len(header))
@@ -306,6 +350,7 @@ def _render(payload, emit):
             f"{_fmt_speedup(case['speedup'])}  "
             f"{_fmt_speedup(case['speedup_vs_numpy'])}"
             f"{' ' if case.get('native_gated', True) else '*'} "
+            f"{_fmt_ns(case['native_ns_per_eval'])}  "
             f"{str(case['parity']):>6}"
         )
     for kind, threshold in payload["thresholds"].items():

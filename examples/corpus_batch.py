@@ -7,9 +7,11 @@ tickers.  This example runs that workload through the corpus engine:
 1. build 40 synthetic "sessions" under one shared null model, three of
    them carrying planted bursts,
 2. mine all of them in one ``CorpusEngine.run_texts`` call -- through
-   the *batched* kernel path (``batch_docs``): each chunk of sessions
-   becomes a single ``mine_batch`` wavefront instead of one scan per
-   session (the CLI equivalent is ``repro-mss batch --batch-docs``),
+   the *batched* kernel path (``batch_docs``): on the numpy kernels
+   each chunk of sessions becomes a single ``mine_batch`` wavefront
+   instead of one scan per session (the CLI equivalent is
+   ``repro-mss batch --batch-docs``); the default native kernels mine
+   several sessions on the lane walker whatever ``batch_docs`` says,
 3. replace each session's asymptotic p-value with a Monte-Carlo
    family-wise p-value (one cached simulation for the whole corpus),
 4. apply Benjamini-Hochberg correction across sessions and report the

@@ -236,9 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cap on reported substrings per document")
     batch.add_argument("--workers", type=int, default=None,
                        help="mining and calibration threads on the native "
-                            "kernels, one document per task (default: one "
-                            "per usable CPU; 1 = serial; other backends "
-                            "mine on one thread)")
+                            "kernels, each running four scans in flight "
+                            "(default: one per usable CPU; 1 = the calling "
+                            "thread; other backends mine on one thread)")
     batch.add_argument(
         "--batch-docs",
         type=int,
@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="enforce latency/error objectives on /mine, e.g. "
              "'p99:250ms,errors:0.1%%'; multi-window burn rates render "
-             "on /metrics and a fast burn flips /healthz to degraded",
+             "on /metrics and a fast burn sets slo_fast_burn on /healthz",
     )
     add_backend(serve)
 

@@ -13,15 +13,19 @@ once.  This subsystem is that layer:
   batched one (a chunk of documents through a single kernel
   ``mine_batch`` call -- see ``CorpusEngine(batch_docs=...)``).
 * :mod:`repro.engine.executors` -- how a job list is mined:
-  :class:`ThreadExecutor`, a persistent thread pool that mines one
-  document per task on the GIL-free native kernels (and on the calling
-  thread for every other backend, or with one worker).  It is
-  order-preserving, so results are identical at any thread count.
+  :class:`ThreadExecutor`, a persistent thread pool.  On the GIL-free
+  native kernels each thread runs the C lane walker, which keeps four
+  mss/minlength scans in flight and claims the next document, longest
+  first, from a cursor every thread shares (top-t and threshold claim
+  one document per scan); ``ThreadExecutor(1)`` runs the lanes on the
+  calling thread.  Every other backend mines on the calling thread.
+  It is order-preserving and each lane runs the single-document scan's
+  exact operations, so results are identical at any thread count.
   ``CorpusEngine()`` and ``repro-mss batch`` default to one thread per
   usable CPU; ``serve --workers N`` defaults to one.
 * :mod:`repro.engine.deadline` -- request :class:`Deadline` objects
-  tunnelled to executors via a contextvar: an expired batch stops
-  before its next kernel call (or per-document task) with
+  tunnelled to executors via a contextvar: an expired batch claims no
+  further document (and makes no further kernel call) and raises
   :class:`DeadlineExceeded`.
 * :mod:`repro.engine.calibration` -- :class:`CalibrationCache` memoizes
   the Monte-Carlo X²max null distribution per (model, length-bucket) so

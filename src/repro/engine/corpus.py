@@ -9,7 +9,8 @@ model.  :class:`CorpusEngine` takes a batch of
 
 1. mines them through an executor (:mod:`repro.engine.executors`) --
    by default one thread per usable CPU over the GIL-free native
-   kernels, and the calling thread for every other backend;
+   kernels, each keeping four document scans in flight on the C lane
+   walker, and the calling thread for every other backend;
 2. optionally replaces each document's asymptotic p-value with the
    Monte-Carlo family-wise p-value from a shared
    :class:`~repro.engine.calibration.CalibrationCache` (one simulation
@@ -146,8 +147,11 @@ class CorpusEngine:
         with its ``run_jobs(jobs, *, batch_docs)``, ``threads(backend)``
         and ``map(fn, items)``.  Defaults to ``ThreadExecutor()``: one
         thread per usable CPU on native kernels, which mine the
-        documents and score cold calibrations on the same pool.
-        ``ThreadExecutor(1)`` mines serially and never starts a pool.
+        documents and score cold calibrations on the same pool.  Each
+        thread runs the C lane walker, four mss/minlength scans (or
+        calibration trials) in flight, claimed from a cursor all the
+        threads share.  ``ThreadExecutor(1)`` runs the lanes on the
+        calling thread and never starts a pool.
     calibration:
         A :class:`CalibrationCache` to turn each document's X²max into a
         Monte-Carlo family-wise p-value.  ``None`` keeps the asymptotic
@@ -166,8 +170,9 @@ class CorpusEngine:
         engine tests); per-document kernel dispatch is amortised, which
         is a large win for the numpy kernels on corpora of small
         documents (see ``benchmarks/bench_engine_scaling.py``).
-        ``None`` (default) keeps per-document dispatch.  Native kernels
-        on more than one thread always mine one document per task.
+        ``None`` (default) keeps per-document dispatch.  Native runs of
+        several documents ignore it: every thread's lanes claim the
+        documents of a (spec, model) group one by one, longest first.
     metrics:
         The :class:`~repro.obs.metrics.MetricsRegistry` mine/finalize
         timings, document counts and X² evaluation counts are reported

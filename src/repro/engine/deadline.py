@@ -14,9 +14,11 @@ places where shedding is cheap and results stay bit-identical:
   batch-composition-invariant its surviving batchmates still get
   bit-identical results;
 * in the executors (:mod:`repro.engine.executors`), before each kernel
-  call or per-document task -- a whole batch whose deadline passed
-  mid-run stops mining further documents and raises
-  :class:`DeadlineExceeded`.
+  call on the calling thread and before every document claim on the
+  native lanes (the C walker converts the remaining seconds onto its
+  own monotonic clock) -- a whole batch whose deadline passed mid-run
+  claims no further document, lets the ones in flight finish, and
+  raises :class:`DeadlineExceeded`.
 
 The executor learns the active batch deadline through a contextvar set
 around the ``mine_documents`` call (:func:`set_active_deadline`), so

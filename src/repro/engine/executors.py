@@ -2,32 +2,41 @@
 
 :class:`ThreadExecutor` honours one contract,
 ``run_jobs(jobs, batch_docs=...)`` returning one
-:class:`~repro.engine.jobs.DocumentResult` per job, on a persistent
-pool of threads, one task per document.  Only the compiled ``native``
-kernels gain from it: their ctypes calls release the GIL and the C
-source has no mutable globals, so documents mine in parallel inside one
-process.  Jobs on any other backend (numpy, python, or ``native``
-fallen back to numpy on a host without a compiler) hold the GIL, and
-threads would only add contention, so the executor mines those on the
-calling thread, ``batch_docs`` documents per kernel call.  So does
-``ThreadExecutor(1)``, the serial reference for correctness, which
-never starts a pool.  With no argument the executor takes one thread
-per usable CPU (its affinity mask where the OS has one).
+:class:`~repro.engine.jobs.DocumentResult` per job.  A run of several
+documents on the compiled ``native`` kernels goes to the lane walker:
+each of the executor's threads makes one ``mine_batch`` call per
+(spec, model) group, and every call claims documents from the group's
+shared :class:`~repro.kernels.native_backend.ClaimCursor`.  mss and
+minlength keep four scans in flight per call, each lane claiming the
+next document, longest first, as it frees up; top-t and threshold
+claim one document per scan.  A thread that finds one group drained
+moves on to the next, so no thread idles while a group still has
+unclaimed documents.  A run of more than ``_WINDOW_DOCS`` documents per
+thread is indexed and mined one such window at a time.  ctypes
+releases the GIL and the C source has no mutable globals, so the
+threads mine in parallel inside one process.
+``ThreadExecutor(1)`` runs the same lanes on the calling thread and
+never starts a pool.  Jobs on any other backend (numpy, python, or
+``native`` fallen back to numpy on a host without a compiler) hold the
+GIL, so the executor mines those on the calling thread, ``batch_docs``
+documents per kernel call, as it does a single document.  With no
+argument the executor takes one thread per usable CPU (its affinity
+mask where the OS has one).
 
-Results keep job order, so they are identical to serial regardless of
-completion order -- the engine's parity guarantee rests on this.  A
-batch deadline installed with
-:func:`~repro.engine.deadline.set_active_deadline` is checked before
-each kernel call (calling thread) or before each per-document task
-starts and while results are collected (pool), and an expired run stops
-with :class:`~repro.engine.deadline.DeadlineExceeded` instead of mining
-the remaining documents.
+Results keep job order and the lanes return every document's
+single-scan bits, so they are identical to serial whatever the thread
+count -- the engine's parity guarantee rests on this.  A batch deadline
+installed with :func:`~repro.engine.deadline.set_active_deadline` is
+checked before each kernel call on the calling thread and before every
+document claim on the lanes; once it passes no further document is
+claimed, the documents in flight finish, and the run raises
+:class:`~repro.engine.deadline.DeadlineExceeded`.
 
 The same pool scores Monte-Carlo calibration:
 :class:`~repro.engine.corpus.CorpusEngine` hands its executor to the
-calibration cache, and the native ``simulate_x2max`` scores each
-chunk's trials through :meth:`ThreadExecutor.map`, so an engine runs
-one pool, not two.
+calibration cache, and the native ``simulate_x2max`` runs each chunk's
+lanes on :meth:`ThreadExecutor.map`, so an engine runs one pool, not
+two.
 """
 
 from __future__ import annotations
@@ -35,13 +44,28 @@ from __future__ import annotations
 import concurrent.futures
 import os
 import threading
+import time
 from typing import Callable, Iterable, Sequence
 
 from repro.engine.deadline import DeadlineExceeded, active_deadline
-from repro.engine.jobs import DocumentResult, MiningJob, run_job, run_job_batch
-from repro.kernels import resolved_backend_name
+from repro.engine.jobs import (
+    DocumentResult,
+    MiningJob,
+    _document_from_scan,
+    _index_groups,
+    run_job,
+    run_job_batch,
+)
+from repro.kernels import get_backend, resolved_backend_name
+from repro.kernels.native_backend import ClaimCursor
 
 __all__ = ["ThreadExecutor"]
+
+#: Documents indexed per mining thread at a time on the lanes: four
+#: lanes, about four documents each.  A longer native run mines its jobs
+#: in windows of ``workers * _WINDOW_DOCS``, so the prefix matrices held
+#: at once (8 (k + 1) bytes per symbol) cover one window, not the run.
+_WINDOW_DOCS = 16
 
 
 def _usable_cpus() -> int:
@@ -88,10 +112,11 @@ class ThreadExecutor:
 
     ``workers`` defaults to one per usable CPU.  The pool starts on the
     first parallel run and lives until :meth:`close`, so a service pays
-    thread start-up once.  A run goes parallel only when every job's
-    backend resolves to ``native`` (:meth:`threads`); otherwise it
-    mines on the calling thread in ``batch_docs`` chunks, as
-    ``ThreadExecutor(1)`` always does.
+    thread start-up once.  A run of several documents whose backends
+    all resolve to ``native`` mines on the lane walker of every worker
+    thread (:meth:`threads`); ``ThreadExecutor(1)`` runs those lanes on
+    the calling thread.  Any other run mines on the calling thread in
+    ``batch_docs`` chunks.
 
     >>> ThreadExecutor(workers=2).threads("python")
     1
@@ -131,10 +156,11 @@ class ThreadExecutor:
     def map(self, fn: Callable, items: Iterable) -> list:
         """``[fn(item) for item in items]``, one pool task per item.
 
-        Native calibration passes one row slice per :meth:`threads`.
-        A single item, or a one-worker executor, runs on the calling
-        thread.  Never call it from inside a pool task: the task would
-        wait on work queued behind itself.
+        Native mining and calibration pass one item per thread, each
+        running its lanes over a shared claim cursor.  A single item, or
+        a one-worker executor, runs on the calling thread.  Never call
+        it from inside a pool task: the task would wait on work queued
+        behind itself.
         """
         items = list(items)
         if self.workers == 1 or len(items) <= 1:
@@ -146,37 +172,63 @@ class ThreadExecutor:
     ) -> list[DocumentResult]:
         """Mine every job; results in job order, identical to serial.
 
-        On native kernels each document is one pool task; the batch
-        deadline is checked before each task starts and bounds the wait
-        for every result, and on expiry the tasks not yet started are
-        cancelled.
+        Several documents on native kernels run on the lanes of every
+        thread, ``workers * _WINDOW_DOCS`` at a time (``batch_docs``
+        does not apply); anything else mines on the calling thread.
         """
         deadline = active_deadline()
         backends = {job.spec.backend for job in jobs}
-        if len(jobs) <= 1 or min(map(self.threads, backends)) == 1:
-            return _mine_serially(jobs, batch_docs, deadline)
+        if len(jobs) > 1 and all(
+            resolved_backend_name(backend) == "native" for backend in backends
+        ):
+            return self._mine_lanes(jobs, deadline)
+        return _mine_serially(jobs, batch_docs, deadline)
 
-        def task(job: MiningJob) -> DocumentResult:
-            _check_deadline(deadline, 1)
-            return run_job(job)
-
-        pool = self._ensure_pool()
-        futures = [pool.submit(task, job) for job in jobs]
-        try:
-            return [
-                future.result(
-                    timeout=None if deadline is None
-                    else max(0.0, deadline.remaining())
+    def _mine_lanes(self, jobs, deadline) -> list[DocumentResult]:
+        """Mine native jobs on the lanes, one window of jobs at a time."""
+        window = self.workers * _WINDOW_DOCS
+        documents: list[DocumentResult] = []
+        for lo in range(0, len(jobs), window):
+            _check_deadline(deadline, len(jobs) - lo)
+            mined = self._mine_window(jobs[lo : lo + window], deadline)
+            if None in mined:
+                unmined = len(jobs) - lo - len(mined) + mined.count(None)
+                raise DeadlineExceeded(
+                    f"batch deadline passed with {unmined} document(s) unmined"
                 )
-                for future in futures
-            ]
-        except concurrent.futures.TimeoutError:
-            raise DeadlineExceeded(
-                "batch deadline passed while documents were mining"
-            ) from None
-        finally:
-            for future in futures:
-                future.cancel()
+            documents.extend(mined)
+        return documents
+
+    def _mine_window(self, jobs, deadline) -> list[DocumentResult | None]:
+        """Mine native jobs on up to :attr:`workers` threads sharing one
+        claim cursor per (spec, model) group; ``None`` where the
+        deadline stopped the claims."""
+        documents, groups = _index_groups(jobs)
+        cursors = [ClaimCursor(deadline) for _ in groups]
+
+        def drain(_) -> list:
+            mined = []
+            for (spec, model, pending), cursor in zip(groups, cursors):
+                started = time.perf_counter()
+                raws = get_backend(spec.backend).mine_batch(
+                    [index for _, _, index in pending], model, spec,
+                    cursor=cursor,
+                )
+                mined.append((pending, raws, time.perf_counter() - started))
+            return mined
+
+        threads = min(self.workers, len(jobs))
+        for mined in self.map(drain, range(threads)):
+            for pending, raws, elapsed in mined:
+                claimed = [
+                    (item, raw) for item, raw in zip(pending, raws)
+                    if raw is not None
+                ]
+                for (pos, job, index), raw in claimed:
+                    documents[pos] = _document_from_scan(
+                        job, index, raw, elapsed / len(claimed)
+                    )
+        return documents
 
     def close(self) -> None:
         """Stop the thread pool (idempotent); a later run restarts it."""

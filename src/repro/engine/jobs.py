@@ -15,7 +15,6 @@ engine later replaces (Monte-Carlo calibration) and corrects
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Hashable, Sequence
@@ -268,9 +267,9 @@ def ordered_scan(spec, raw, n):
     wrappers report substrings: sentinel entries filtered, sorted by
     ``(-X², start)`` for top-t and threshold scans, the single best pair
     for mss / minlength.  This is the one place that ordering rule
-    lives -- :func:`run_job_batch` builds its :class:`DocumentResult`
-    values from it, which is what keeps the batched path bit-identical
-    to the per-document one.
+    lives -- :func:`_document_from_scan` builds every batched
+    :class:`DocumentResult` from it, which is what keeps the batched
+    paths bit-identical to the per-document one.
     """
     problem = spec.problem
     truncated = False
@@ -290,19 +289,54 @@ def ordered_scan(spec, raw, n):
     return found, start_positions, truncated, evaluated, skipped
 
 
-def _document_from_scan(job, index, spec, raw, elapsed):
+def _index_groups(jobs: Sequence[MiningJob]):
+    """Encode and index ``jobs`` for the kernels, one group per (spec, model).
+
+    Returns ``(documents, groups)``.  ``documents`` has one slot per
+    job: ``minlength`` documents shorter than the floor already hold
+    their empty result (as in :meth:`JobSpec.mine`, that is the answer
+    and they never reach the kernel); every other slot is ``None``.
+    ``groups`` lists ``(spec, model, pending)`` in first-appearance
+    order, ``pending`` being the group's ``(position, job, index)``
+    triples in job order.
+    """
+    documents: list[DocumentResult | None] = [None] * len(jobs)
+    groups: dict = {}
+    for pos, job in enumerate(jobs):
+        spec, model = job.spec, job.model
+        codes = model.encode(job.text)
+        n = len(codes)
+        if spec.problem == "minlength" and spec.min_length > n:
+            documents[pos] = DocumentResult(
+                doc_id=job.doc_id,
+                n=n,
+                substrings=(),
+                stats=ScanStats(n=n),
+                p_value=1.0,
+                truncated=False,
+            )
+            continue
+        groups.setdefault((spec, model), []).append(
+            (pos, job, PrefixCountIndex(codes, model.k))
+        )
+    return documents, [
+        (spec, model, pending) for (spec, model), pending in groups.items()
+    ]
+
+
+def _document_from_scan(job, index, raw, elapsed) -> DocumentResult:
     """Build a :class:`DocumentResult` from a raw ``mine_batch`` tuple.
 
     Mirrors exactly what the ``find_*`` wrappers (and hence
     :func:`run_job`) do with the same kernel output: sentinel filtering,
     the ``(-X², start)`` result ordering, counter placement, and the
     document p-value rule.  ``elapsed`` is this document's share of the
-    batched kernel call's wall time.
+    kernel call's wall time.
     """
     model = job.model
     n = index.n
     found, start_positions, truncated, evaluated, skipped = ordered_scan(
-        spec, raw, n
+        job.spec, raw, n
     )
     substrings = tuple(
         SignificantSubstring(
@@ -334,16 +368,15 @@ def _document_from_scan(job, index, spec, raw, elapsed):
 def run_job_batch(jobs: Sequence[MiningJob]) -> list[DocumentResult]:
     """Mine a chunk of jobs with one kernel call per (spec, model) group.
 
-    The engine's batched path: consecutive jobs sharing a spec and model
-    (the common case -- :meth:`CorpusEngine.run_texts` corpora share one
-    of each) are encoded, indexed, and handed to the backend's
-    ``mine_batch`` as a single call, amortising per-document kernel
-    dispatch.
+    The engine's batched path: jobs sharing a spec and model (the common
+    case -- :meth:`CorpusEngine.run_texts` corpora share one of each)
+    are encoded, indexed, and handed to the backend's ``mine_batch`` as
+    a single call, amortising per-document kernel dispatch.
 
     The results are identical to ``[run_job(job) for job in jobs]`` --
     scores, intervals, counters and orderings, enforced by the engine
     test-suite -- except for ``stats.elapsed_seconds``, which becomes
-    each document's even share of its batch's kernel wall time (the
+    each document's even share of its group's kernel wall time (the
     per-document split of one fused call is unobservable).
 
     ``minlength`` documents shorter than the floor never reach the
@@ -351,34 +384,13 @@ def run_job_batch(jobs: Sequence[MiningJob]) -> list[DocumentResult]:
     """
     from repro.kernels import get_backend
 
-    results: list[DocumentResult] = []
-    for (spec, model), group_iter in itertools.groupby(
-        jobs, key=lambda job: (job.spec, job.model)
-    ):
-        group = list(group_iter)
-        out: list[DocumentResult | None] = [None] * len(group)
-        pending: list[tuple[int, MiningJob, PrefixCountIndex]] = []
-        for pos, job in enumerate(group):
-            codes = model.encode(job.text)
-            n = len(codes)
-            if spec.problem == "minlength" and spec.min_length > n:
-                out[pos] = DocumentResult(
-                    doc_id=job.doc_id,
-                    n=n,
-                    substrings=(),
-                    stats=ScanStats(n=n),
-                    p_value=1.0,
-                    truncated=False,
-                )
-            else:
-                pending.append((pos, job, PrefixCountIndex(codes, model.k)))
-        if pending:
-            kernel = get_backend(spec.backend)
-            indexes = [index for _, _, index in pending]
-            started = time.perf_counter()
-            raws = kernel.mine_batch(indexes, model, spec)
-            share = (time.perf_counter() - started) / len(pending)
-            for (pos, job, index), raw in zip(pending, raws):
-                out[pos] = _document_from_scan(job, index, spec, raw, share)
-        results.extend(out)
-    return results
+    documents, groups = _index_groups(jobs)
+    for spec, model, pending in groups:
+        kernel = get_backend(spec.backend)
+        indexes = [index for _, _, index in pending]
+        started = time.perf_counter()
+        raws = kernel.mine_batch(indexes, model, spec)
+        share = (time.perf_counter() - started) / len(pending)
+        for (pos, job, index), raw in zip(pending, raws):
+            documents[pos] = _document_from_scan(job, index, raw, share)
+    return documents

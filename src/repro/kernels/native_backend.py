@@ -31,7 +31,24 @@ every call, so threads may run the kernels side by side
 
 The flags are ``-O2 -ffp-contract=off`` and deliberately **not**
 ``-ffast-math``: contraction or reassociation would change results in
-the last ulp and break the ``==`` parity contract.
+the last ulp and break the ``==`` parity contract.  The flags are a
+constant: no environment variable adds to them.  An instrumented build
+(CI's AddressSanitizer job) comes from a ``$CC`` wrapper that adds its
+own flags, under its own ``$REPRO_NATIVE_CACHE``, so a normal run never
+loads it.
+
+Lanes
+-----
+
+``mine_batch`` (mss and minlength) and ``simulate_x2max`` run on the C
+lane walker: each call keeps four best-substring scans in flight and
+advances them one X² evaluation at a time in turn, so the dependent
+chains of four documents (or calibration trials) overlap on one core.
+A free lane claims the next document, longest first, or the next
+trial, from a :class:`ClaimCursor` that every thread of a run shares.
+Each lane runs exactly the single-document scan's operations, so the
+results stay bit-identical; ``mss_kernels.c`` explains the two rules
+that let the scans overlap.
 
 Fallback ladder
 ---------------
@@ -51,6 +68,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -65,7 +83,7 @@ from repro.kernels.numpy_backend import NumpyBackend, _simulate_chunked
 from repro.kernels.python_backend import mine_reference
 from repro.obs.log import get_logger
 
-__all__ = ["NativeBackend", "native_cache_dir"]
+__all__ = ["ClaimCursor", "NativeBackend", "native_cache_dir"]
 
 _LOG = get_logger("repro.kernels.native")
 
@@ -78,7 +96,7 @@ CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 #: Bumped whenever the exported C ABI changes, so stale cached artifacts
 #: from an older layout are never loaded.
-_ABI_TAG = "repro-native-v1"
+_ABI_TAG = "repro-native-v2"
 
 _PI64 = ctypes.POINTER(ctypes.c_int64)
 _PF64 = ctypes.POINTER(ctypes.c_double)
@@ -174,9 +192,16 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     ]
     lib.repro_free.restype = None
     lib.repro_free.argtypes = [ctypes.c_void_p]
-    lib.repro_calibrate_chunk.restype = i32
-    lib.repro_calibrate_chunk.argtypes = [
-        _PI64, i64, i64, i64, _PF64, _PF64, f64, _PF64,
+    lib.repro_claim.restype = i64
+    lib.repro_claim.argtypes = [_PI64, i64, f64]
+    lib.repro_mine_lanes.restype = i32
+    lib.repro_mine_lanes.argtypes = [
+        ctypes.c_void_p, _PI64, i64, _PI64, f64, i64, _PF64, _PF64, i64,
+        i32, f64, _PF64, _PI64, _PI64,
+    ]
+    lib.repro_calibrate_lanes.restype = i32
+    lib.repro_calibrate_lanes.argtypes = [
+        _PI64, i64, i64, i64, _PF64, _PF64, f64, _PI64, _PF64,
     ]
     return lib
 
@@ -239,59 +264,77 @@ def _model_arrays(model) -> tuple[np.ndarray, np.ndarray]:
     return probs, 1.0 / probs
 
 
-def _native_x2max_chunk(sub, n, k, probabilities):
-    """X²max of each row of one ``(t, n)`` chunk, via the native library.
+class ClaimCursor:
+    """The next unclaimed document or trial of one run.
+
+    Every thread that mines the run shares the cursor.  The C lanes and
+    :meth:`claim` both take slots through ``claim_slot`` in
+    ``mss_kernels.c``, one atomic increment per claim, so each slot goes
+    to exactly one claimant.  With a ``deadline`` (a
+    :class:`~repro.engine.deadline.Deadline`) nothing is claimed once it
+    has passed; a document already claimed still finishes.
+    """
+
+    __slots__ = ("deadline", "next")
+
+    def __init__(self, deadline=None) -> None:
+        self.deadline = deadline
+        self.next = np.zeros(1, dtype=np.int64)
+
+    def budget(self) -> float:
+        """Seconds left before the deadline (``inf`` without one)."""
+        return math.inf if self.deadline is None else self.deadline.remaining()
+
+    def claim(self, count: int) -> int | None:
+        """The next slot below ``count``, or ``None`` once they are all
+        claimed or the deadline has passed.  Needs the native library."""
+        slot = _require_lib().repro_claim(
+            self.next.ctypes.data_as(_PI64), count, self.budget()
+        )
+        return slot if slot >= 0 else None
+
+
+def _native_x2max_chunk(sub, n, k, probabilities, cursor, out):
+    """Score the trials of one ``(t, n)`` chunk that this call's lanes
+    claim from ``cursor``, writing each X²max into ``out[trial]``.
 
     Module-level and stateless, like the numpy backend's
-    ``_x2max_chunk``, so the shared calibration driver can call either.
-    Raises ``RuntimeError`` when the library cannot load.
+    ``_x2max_chunk``; calls on several threads may share one cursor and
+    one ``out``.  Raises ``RuntimeError`` when the library cannot load.
     """
     lib = _require_lib()
-    sub = np.ascontiguousarray(sub, dtype=np.int64)
     probs = np.ascontiguousarray(probabilities, dtype=np.float64)
     inv_p = 1.0 / probs
-    t = int(sub.shape[0])
-    out = np.empty(t, dtype=np.float64)
-    rc = lib.repro_calibrate_chunk(
-        sub.ctypes.data_as(_PI64), t, int(n), int(k),
+    rc = lib.repro_calibrate_lanes(
+        sub.ctypes.data_as(_PI64), int(sub.shape[0]), int(n), int(k),
         probs.ctypes.data_as(_PF64), inv_p.ctypes.data_as(_PF64),
-        ROOT_EPSILON, out.ctypes.data_as(_PF64),
+        ROOT_EPSILON, cursor.next.ctypes.data_as(_PI64),
+        out.ctypes.data_as(_PF64),
     )
     if rc != 0:
-        raise MemoryError("native calibration chunk: allocation failed")
-    return out.tolist()
-
-
-def _sliced(chunk_fn, executor, threads):
-    """``chunk_fn`` scoring each chunk as ``threads`` contiguous row
-    slices on ``executor``'s pool, samples kept in row order.  Every C
-    call mallocs its own scratch, so the slices run independently."""
-
-    def score(sub, n, k, probabilities):
-        parts = executor.map(
-            lambda rows: chunk_fn(rows, n, k, probabilities),
-            np.array_split(sub, min(threads, len(sub))),
-        )
-        return [x2 for part in parts for x2 in part]
-
-    return score
+        raise MemoryError("native calibration lanes: allocation failed")
 
 
 def _parity_self_check(backend: "NativeBackend") -> str | None:
     """Tiny bit-for-bit comparison against the reference backend.
 
-    Runs all four scans on deterministic strings at k = 2 and k = 3 and
-    compares raw tuples with ``==``.  Returns ``None`` on success or a
-    reason string -- a compiler that mis-rounds (or a corrupt artifact)
-    is caught here and demoted to the numpy fallback rather than
-    serving wrong results.
+    Runs all four scans, the lane walker (``mine_batch`` on mss and
+    minlength) and calibration on deterministic strings at k = 2 and
+    k = 3 and compares raw tuples with ``==``.  Returns ``None`` on
+    success or a reason string -- a compiler that mis-rounds (or a
+    corrupt artifact) is caught here and demoted to the numpy fallback
+    rather than serving wrong results.
     """
+    from types import SimpleNamespace
+
     from repro.core.counts import PrefixCountIndex
     from repro.core.model import BernoulliModel
     from repro.kernels.python_backend import PythonBackend
 
     reference = PythonBackend()
     rng = np.random.default_rng(20120821)
+    mss = SimpleNamespace(problem="mss")
+    minlength = SimpleNamespace(problem="minlength", min_length=4)
     for model in (
         BernoulliModel("ab", [0.6, 0.4]),
         BernoulliModel("abc", [0.5, 0.3, 0.2]),
@@ -299,6 +342,10 @@ def _parity_self_check(backend: "NativeBackend") -> str | None:
         index = PrefixCountIndex(
             rng.integers(0, model.k, size=113), model.k
         )
+        batch = [
+            PrefixCountIndex(rng.integers(0, model.k, size=n), model.k)
+            for n in (0, 3, 57, 9, 31, 1)
+        ]
         checks = (
             ("scan_mss", lambda b: b.scan_mss(index, model)),
             ("scan_mss_min_length",
@@ -306,6 +353,11 @@ def _parity_self_check(backend: "NativeBackend") -> str | None:
             ("scan_top_t", lambda b: b.scan_top_t(index, model, 7)),
             ("scan_threshold",
              lambda b: b.scan_threshold(index, model, 1.0, limit=5)),
+            ("mine_batch mss", lambda b: b.mine_batch(batch, model, mss)),
+            ("mine_batch minlength",
+             lambda b: b.mine_batch(batch, model, minlength)),
+            ("simulate_x2max",
+             lambda b: b.simulate_x2max(model, 40, 6, 3)),
         )
         for label, run in checks:
             if run(backend) != run(reference):
@@ -506,29 +558,107 @@ class NativeBackend:
 
     # -- batch + calibration ------------------------------------------
 
-    def mine_batch(self, indexes, model, spec):
-        """Mine a corpus chunk (the ``mine_batch`` contract): the
-        per-document reference dispatch over the native scans, which
-        is the single-document scan by construction."""
+    def mine_batch(self, indexes, model, spec, cursor=None):
+        """Mine a corpus chunk (the ``mine_batch`` contract).
+
+        mss and minlength run on the C lane walker: four scans in
+        flight per call, each lane claiming the next document, longest
+        first, when it frees up (a scan left alone finishes with the
+        lone scan's step, and a single document is one lone scan).
+        top-t and threshold claim documents the same way but scan each
+        one on its own.  Results are the single-document scans' bits
+        either way.
+
+        ``cursor`` (a :class:`ClaimCursor`) lets calls on several
+        threads share the documents: each call returns the raw tuples
+        of the documents it claimed and ``None`` for the rest, and a
+        document left unclaimed by every call (the cursor's deadline
+        passed) is ``None`` in all of them.  Without a cursor the call
+        claims every document (and falls back to numpy without the
+        library); a call with one needs the library.
+        """
         self._ensure()
-        if self._lib is None:
-            return self._numpy.mine_batch(indexes, model, spec)
-        return [mine_reference(self, index, model, spec) for index in indexes]
+        if cursor is None:
+            if self._lib is None:
+                return self._numpy.mine_batch(indexes, model, spec)
+            if len(indexes) == 1:  # nothing to overlap with
+                return [mine_reference(self, indexes[0], model, spec)]
+            cursor = ClaimCursor()
+        elif self._lib is None:
+            raise RuntimeError(
+                f"native kernels unavailable: {self._fallback_reason}"
+            )
+        order = sorted(range(len(indexes)), key=lambda d: -indexes[d].n)
+        if spec.problem in ("mss", "minlength"):
+            return self._mine_lanes(indexes, order, model, spec, cursor)
+        raws = [None] * len(indexes)
+        while (slot := cursor.claim(len(order))) is not None:
+            doc = order[slot]
+            raws[doc] = mine_reference(self, indexes[doc], model, spec)
+        return raws
+
+    def _mine_lanes(self, indexes, order, model, spec, cursor):
+        """One ``repro_mine_lanes`` call over ``indexes`` in claim
+        ``order``; raw tuples in input order, ``None`` where another
+        call (or the deadline) took the document."""
+        mats = [
+            np.ascontiguousarray(indexes[doc].counts_matrix()) for doc in order
+        ]
+        pointers = np.array([mat.ctypes.data for mat in mats], dtype=np.uintp)
+        lengths = np.array([indexes[doc].n for doc in order], dtype=np.int64)
+        docs = len(order)
+        probs, inv_p = _model_arrays(model)
+        mss = spec.problem == "mss"
+        out_best = np.empty(docs, dtype=np.float64)
+        out_pos = np.empty(2 * docs, dtype=np.int64)
+        out_work = np.full(2 * docs, -1, dtype=np.int64)
+        rc = self._lib.repro_mine_lanes(
+            pointers.ctypes.data_as(ctypes.c_void_p),
+            lengths.ctypes.data_as(_PI64), docs,
+            cursor.next.ctypes.data_as(_PI64), cursor.budget(), model.k,
+            probs.ctypes.data_as(_PF64), inv_p.ctypes.data_as(_PF64),
+            1 if mss else int(spec.min_length), int(mss and model.k == 2),
+            ROOT_EPSILON, out_best.ctypes.data_as(_PF64),
+            out_pos.ctypes.data_as(_PI64), out_work.ctypes.data_as(_PI64),
+        )
+        if rc != 0:
+            raise MemoryError("native mine_batch: allocation failed")
+        best, pos, work = out_best.tolist(), out_pos.tolist(), out_work.tolist()
+        raws = [None] * len(indexes)
+        for slot, doc in enumerate(order):
+            if work[2 * slot] >= 0:
+                raws[doc] = (
+                    best[slot], (pos[2 * slot], pos[2 * slot + 1]),
+                    work[2 * slot], work[2 * slot + 1],
+                )
+        return raws
 
     def simulate_x2max(self, model, n, trials, seed, executor=None):
-        """Monte-Carlo X²max samples through the shared chunked driver
-        (draws stay sequential in the driver; the per-chunk prefix build
-        and scans run in C), bit-identical to the reference.  With an
-        ``executor``, each chunk's rows are scored as
-        ``executor.threads(self)`` contiguous slices on its pool."""
+        """Monte-Carlo X²max samples through ``_simulate_chunked``,
+        bit-identical to the reference.  Draws stay sequential there;
+        each chunk's trials are claimed by C lanes, which build their
+        trial's prefix matrix when they claim it.  With an
+        ``executor``, ``executor.threads(self)`` calls on its pool share
+        each chunk's cursor."""
         self._ensure()
         if self._lib is None:
             return self._numpy.simulate_x2max(model, n, trials, seed)
-        chunk_fn = _native_x2max_chunk
         threads = 1 if executor is None else executor.threads(self)
-        if threads > 1:
-            chunk_fn = _sliced(chunk_fn, executor, threads)
-        return _simulate_chunked(chunk_fn, model, n, trials, seed)
+
+        def score(sub, n, k, probabilities):
+            sub = np.ascontiguousarray(sub, dtype=np.int64)
+            cursor, out = ClaimCursor(), np.empty(len(sub), dtype=np.float64)
+
+            def lanes(_):
+                _native_x2max_chunk(sub, n, k, probabilities, cursor, out)
+
+            if threads == 1:
+                lanes(None)
+            else:
+                executor.map(lanes, range(min(threads, len(sub))))
+            return out.tolist()
+
+        return _simulate_chunked(score, model, n, trials, seed)
 
     # -- auxiliary kernels (delegated) --------------------------------
 

@@ -893,7 +893,10 @@ class NumpyBackend:
         problem = spec.problem
         if problem in ("mss", "minlength"):
             e_offset = 1 if problem == "mss" else spec.min_length
-            return self._mine_batch_best(indexes, model, e_offset)
+            # Only mss takes the k == 2 fast path; minlength walks the
+            # generic arithmetic at every k, min_length == 1 included.
+            binary = problem == "mss" and model.k == 2
+            return self._mine_batch_best(indexes, model, e_offset, binary)
         if problem == "top":
             return self._mine_batch_top(indexes, model, spec.t)
         if problem == "threshold":
@@ -902,12 +905,11 @@ class NumpyBackend:
             )
         raise ValueError(f"unknown problem {problem!r}")
 
-    def _mine_batch_best(self, indexes, model, e_offset):
+    def _mine_batch_best(self, indexes, model, e_offset, binary):
         """Batched running-maximum scans (``mss`` / ``minlength``)."""
         corpus = _BatchCorpus(indexes)
         docs = len(corpus.indexes)
         probabilities = model.probabilities
-        binary = model.k == 2 and e_offset == 1
         bounds = np.full(docs, -1.0)
         best_start = [0] * docs
         best_end = [e_offset] * docs

@@ -19,9 +19,9 @@ per objective over *multiple* windows (fast + slow) and:
   on, so ``tools/check_metrics.py`` can require the family);
 * when ``enforce`` is on, reports a ``degraded`` verdict once *every*
   window burns past ``fast_burn_threshold`` (the multi-window AND
-  suppresses blips) -- the service folds that verdict into
-  ``GET /healthz``, where the router's health loop will eject the
-  shard.
+  suppresses blips) -- the service reports that verdict in its own
+  ``GET /healthz`` fields (``slo_fast_burn``), leaving ``status`` at
+  ``ok`` so the router keeps a shard that still answers.
 
 Errors mean HTTP 5xx: a 4xx is the client's bill, not the service's
 budget.  Latency observations include every terminal status, because a
@@ -276,7 +276,7 @@ class SloTracker:
         registry.gauge(
             "repro_slo_fast_burn_degraded",
             "1 while the enforced fast-burn condition holds (healthz "
-            "reports degraded), else 0",
+            "reports slo_fast_burn), else 0",
         ).set(0.0)
 
     def refresh(self, registry) -> None:

@@ -19,9 +19,10 @@ fields, and everything else follows from shards being plain
   single-service ones -- the property the multi-shard identity tests
   pin.
 * **Health ejection.**  A background loop polls every shard's
-  ``/healthz``; consecutive connection failures (a dead shard) or a
-  ``degraded`` status (an enforced SLO fast-burning) eject the shard from
-  the ring, re-routing its hash arcs to the survivors.  Ejected shards
+  ``/healthz``; consecutive connection failures (a dead shard) or any
+  status other than ``ok`` eject the shard from the ring, re-routing its
+  hash arcs to the survivors.  (A shard whose enforced SLO fast-burns
+  still reports ``ok``: it answers, so it stays in rotation.)  Ejected shards
   keep being polled and rejoin the moment they report ``ok`` again.
 * **Bounded retry.**  Mining is idempotent, so a connection failure or
   a 503 (shard draining) is retried **once**, on the key's next

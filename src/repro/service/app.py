@@ -18,10 +18,11 @@ Endpoints (JSON over a minimal HTTP/1.1 subset, stdlib only):
   Over capacity: ``429`` with a ``Retry-After`` hint.
 * ``GET /healthz`` -- liveness: status, uptime, queue depth and the
   kernel backend that serves (``backend``/``backend_resolved``, plus
-  ``backend_fallback_reason`` when ``native`` fell back to numpy);
-  flips to ``degraded`` while an *enforced* SLO fast-burn condition
-  holds (see :mod:`repro.obs.slo`).  A backend fallback alone never
-  degrades it: numpy answers bit-identically, only slower.
+  ``backend_fallback_reason`` when ``native`` fell back to numpy) and
+  whether an *enforced* SLO fast-burn condition holds
+  (``slo_fast_burn``/``slo_fast_burn_reason``, see :mod:`repro.obs.slo`).
+  ``status`` stays ``ok`` through both: a shard that still answers
+  stays in the router's rotation.
 * ``GET /stats`` -- queue depth, batch fill, cache hit rates, executor
   diagnostics, and the full metrics snapshot; ``GET /stats?trace=1``
   additionally returns the recent/slow request span trees (see
@@ -118,8 +119,8 @@ class MiningService:
         Mining threads of the engine's
         :class:`~repro.engine.executors.ThreadExecutor`.  ``> 1``
         starts a pool that lives until :meth:`stop`, mines each batch
-        one document per task on the native kernels and scores cold
-        calibrations.  When the backend resolves to numpy or python (a
+        on the lanes of every thread on the native kernels and scores
+        cold calibrations.  When the backend resolves to numpy or python (a
         host without a compiler) batches mine on one thread, as with
         ``workers=1``; ``/stats`` reports the thread count that
         actually mines (``engine.threads``).
@@ -420,20 +421,23 @@ class MiningService:
     def healthz(self) -> dict:
         """JSON-ready liveness payload (the ``GET /healthz`` body).
 
-        ``status`` is ``"ok"`` while everything is healthy and
-        ``"degraded"`` (with a ``reason``) while an *enforced* SLO
-        objective is fast-burning its error budget (see
-        :class:`~repro.obs.slo.SloTracker`; behind the router a degraded
-        report ejects the shard from rotation, which is the point).
+        ``status`` is ``"ok"`` while the service answers.  Two slow or
+        costly states ride along in their own fields and leave it at
+        ``"ok"``, so the router keeps the shard in rotation:
 
-        The :meth:`backend_status` fields ride along too.  A backend
-        fallback is visible there (and on
-        ``repro_backend_fallback_total``) but leaves ``status`` at
-        ``"ok"``: the numpy fallback answers bit-identically, and a
-        degraded report would eject every shard of a compiler-less
-        fleet from the router.
+        * an *enforced* SLO objective fast-burning its error budget
+          (see :class:`~repro.obs.slo.SloTracker`): ``slo_fast_burn``
+          is true and ``slo_fast_burn_reason`` says which objective,
+          as does ``repro_slo_fast_burn_degraded`` on ``/metrics``.
+          A ``degraded`` status would have the router eject every
+          shard whose objective is too tight, and then no shard would
+          answer at all;
+        * a backend fallback (the :meth:`backend_status` fields and
+          ``repro_backend_fallback_total``): the numpy fallback answers
+          bit-identically, only slower.
         """
-        data = {
+        slo_reason = self.slo.degraded()
+        return {
             "status": "ok",
             "uptime_seconds": (
                 time.monotonic() - self._started_at
@@ -441,13 +445,10 @@ class MiningService:
                 else 0.0
             ),
             "queue_depth_docs": self.batcher.queue_depth_docs,
+            "slo_fast_burn": slo_reason is not None,
+            "slo_fast_burn_reason": slo_reason,
             **self.backend_status(),
         }
-        slo_reason = self.slo.degraded()
-        if slo_reason is not None:
-            data["status"] = "degraded"
-            data["reason"] = slo_reason
-        return data
 
     # ------------------------------------------------------------------
     # Connection handling.

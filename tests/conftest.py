@@ -15,6 +15,12 @@ hypothesis.settings.register_profile(
     suppress_health_check=[hypothesis.HealthCheck.too_slow],
 )
 hypothesis.settings.load_profile("repro")
+# CI's larger budget for the kernel fuzz
+# (``--hypothesis-profile=repro-fuzz``).
+hypothesis.settings.register_profile(
+    "repro-fuzz", parent=hypothesis.settings.get_profile("repro"),
+    max_examples=400,
+)
 
 ALPHABETS = {2: "ab", 3: "abc", 4: "abcd", 5: "abcde"}
 

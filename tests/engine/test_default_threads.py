@@ -131,16 +131,19 @@ class TestCalibrationParity:
 class TestPooledCalibration:
     @needs_native
     def test_native_chunks_score_on_the_engine_pool(self, model, monkeypatch):
-        """One document mines on the calling thread; the cold key then
-        scores as two contiguous slices on the engine's own pool, and
-        the pool work is submitted from the caller's thread."""
+        """One document mines on the calling thread; the cold key's
+        chunk then scores on two lane calls on the engine's own pool,
+        sharing one claim cursor, and the pool work is submitted from
+        the caller's thread."""
         scored, submitters = [], []
         real_chunk = native_module._native_x2max_chunk
         real_map = ThreadExecutor.map
 
-        def chunk_spy(sub, n, k, probabilities):
-            scored.append((threading.current_thread().name, len(sub)))
-            return real_chunk(sub, n, k, probabilities)
+        def chunk_spy(sub, n, k, probabilities, cursor, out):
+            scored.append(
+                (threading.current_thread().name, len(sub), id(cursor))
+            )
+            return real_chunk(sub, n, k, probabilities, cursor, out)
 
         def map_spy(self, fn, items):
             submitters.append(threading.current_thread().name)
@@ -163,8 +166,9 @@ class TestPooledCalibration:
             result = engine.run_texts(["ab" * 40], model)
             assert engine.executor.started
         assert result.payload(include_timing=False)["results"] == expected
-        assert sorted(size for _, size in scored) == [5, 6]
-        assert all(name.startswith("repro-miner") for name, _ in scored)
+        assert [size for _, size, _ in scored] == [11, 11]
+        assert len({cursor for _, _, cursor in scored}) == 1
+        assert all(name.startswith("repro-miner") for name, _, _ in scored)
         assert submitters == [threading.current_thread().name]
 
     @needs_native

@@ -5,20 +5,23 @@ because it is the serial engine, faster: every per-document payload --
 scores, intervals, substring orderings, evaluated/skipped counters,
 truncation flags -- must equal ``ThreadExecutor(1)``'s across
 problems, backends, worker counts and batch sizes.  Native kernels mine
-one document per thread task; every other backend mines on the calling
-thread.  An expired batch deadline stops a run before its remaining
-documents start.
+on the lanes of every worker thread, which claim documents from one
+cursor per group; every other backend mines on the calling thread.  An
+expired batch deadline stops a run from claiming its remaining
+documents.
 """
 
 import json
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
 import repro.engine.executors as executors_module
 from repro.core.model import BernoulliModel
+from repro.kernels.native_backend import NativeBackend
 from repro.engine import (
     CorpusEngine,
     Deadline,
@@ -29,6 +32,7 @@ from repro.engine import (
     reset_active_deadline,
     set_active_deadline,
 )
+from repro.engine.jobs import run_job
 from repro.generators import generate_null_string
 from repro.kernels import resolved_backend_name
 from repro.obs.metrics import MetricsRegistry
@@ -81,6 +85,25 @@ PROBLEMS = [
 ]
 
 BACKENDS = ["python", "numpy", pytest.param("native", marks=needs_native)]
+
+
+def _spy_mine_batch(monkeypatch):
+    """Record ``(thread name, problem, claimed documents)`` for every
+    native ``mine_batch`` call."""
+    calls = []
+    real = NativeBackend.mine_batch
+
+    def spy(self, indexes, model, spec, cursor=None):
+        raws = real(self, indexes, model, spec, cursor=cursor)
+        calls.append((
+            threading.current_thread().name,
+            spec.problem,
+            [doc for doc, raw in enumerate(raws) if raw is not None],
+        ))
+        return raws
+
+    monkeypatch.setattr(NativeBackend, "mine_batch", spy)
+    return calls
 
 
 class TestThreadParity:
@@ -222,23 +245,69 @@ class TestThreadTier:
         assert executor.started is False
 
     @needs_native
-    def test_native_runs_one_task_per_document(
+    def test_native_runs_on_the_lanes_of_every_thread(
         self, model, corpus, monkeypatch
     ):
-        seen = []
-        real = executors_module.run_job
-
-        def spy(job):
-            seen.append(threading.current_thread().name)
-            return real(job)
-
-        monkeypatch.setattr(executors_module, "run_job", spy)
+        """Each pool thread makes one lane call over the shared cursor;
+        together they claim every document exactly once."""
+        calls = _spy_mine_batch(monkeypatch)
         with ThreadExecutor(2) as executor:
             CorpusEngine(executor=executor, batch_docs=8).run_texts(
                 corpus, model, JobSpec(backend="native")
             )
-        assert len(seen) == len(corpus)
-        assert all(name.startswith("repro-miner") for name in seen)
+        assert len(calls) == 2
+        assert all(name.startswith("repro-miner") for name, _, _ in calls)
+        assert sorted(doc for _, _, docs in calls for doc in docs) == list(
+            range(len(corpus))
+        )
+
+    @needs_native
+    def test_one_worker_runs_the_lanes_on_the_calling_thread(
+        self, model, corpus, monkeypatch
+    ):
+        calls = _spy_mine_batch(monkeypatch)
+        executor = ThreadExecutor(1)
+        CorpusEngine(executor=executor).run_texts(
+            corpus, model, JobSpec(backend="native")
+        )
+        window = executors_module._WINDOW_DOCS
+        assert len(corpus) > window
+        assert [(name, len(docs)) for name, _, docs in calls] == [
+            (threading.current_thread().name, window),
+            (threading.current_thread().name, len(corpus) - window),
+        ]
+        assert executor.started is False
+
+    @needs_native
+    def test_no_thread_idles_while_another_group_waits(
+        self, model, monkeypatch
+    ):
+        """One long mss document and six small top-t documents: the
+        thread that drew the long scan claims none of the top-t group,
+        which the other thread mines meanwhile."""
+        calls = _spy_mine_batch(monkeypatch)
+        long_text = generate_null_string(model, 60_000, seed=1)
+        jobs = [MiningJob("long", long_text, JobSpec(backend="native"), model)]
+        jobs += [
+            MiningJob(
+                f"top-{i}", generate_null_string(model, 300, seed=10 + i),
+                JobSpec(problem="top", t=3, backend="native"), model,
+            )
+            for i in range(6)
+        ]
+        with ThreadExecutor(2) as executor:
+            mined = executor.run_jobs(jobs)
+        assert [doc.doc_id for doc in mined] == [job.doc_id for job in jobs]
+        (long_thread,) = {
+            name for name, problem, docs in calls
+            if problem == "mss" and docs
+        }
+        top = {
+            name: len(docs) for name, problem, docs in calls
+            if problem == "top"
+        }
+        assert top.get(long_thread, 0) == 0
+        assert sum(top.values()) == 6
 
     def test_default_workers_positive(self):
         assert ThreadExecutor().workers >= 1
@@ -258,6 +327,61 @@ class TestThreadTier:
         executor.close()
 
 
+class TestWindows:
+    """A native run longer than ``workers * _WINDOW_DOCS`` documents is
+    indexed and mined one window at a time, so its prefix matrices are
+    never all alive at once."""
+
+    @needs_native
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_long_run_mines_window_by_window(
+        self, model, monkeypatch, workers
+    ):
+        sizes = []
+        real = NativeBackend.mine_batch
+
+        def spy(self, indexes, model, spec, cursor=None):
+            sizes.append(len(indexes))
+            return real(self, indexes, model, spec, cursor=cursor)
+
+        monkeypatch.setattr(NativeBackend, "mine_batch", spy)
+        window = workers * executors_module._WINDOW_DOCS
+        jobs = [
+            MiningJob(
+                f"doc-{i}", generate_null_string(model, 1 + 9 * (i % 7), seed=i),
+                JobSpec(backend="native"), model,
+            )
+            for i in range(2 * window + 3)
+        ]
+        with ThreadExecutor(workers) as executor:
+            mined = executor.run_jobs(jobs)
+        assert sorted(sizes) == [3] * workers + [window] * (2 * workers)
+        assert [d.payload(include_timing=False) for d in mined] == [
+            run_job(job).payload(include_timing=False) for job in jobs
+        ]
+
+    @needs_native
+    def test_peak_memory_is_one_window_not_the_run(self, model):
+        """tracemalloc sees numpy's buffers.  Eight windows of documents
+        would hold eight windows of prefix matrices if the run were
+        indexed at once; mining peaks below two."""
+        workers, n = 2, 2_000
+        window = workers * executors_module._WINDOW_DOCS
+        texts = [
+            generate_null_string(model, n, seed=i) for i in range(8 * window)
+        ]
+        per_doc = 8 * (model.k + 1) * (n + 1)  # int64 codes + (k, n + 1)
+        with ThreadExecutor(workers) as executor:
+            engine = CorpusEngine(executor=executor)
+            tracemalloc.start()
+            try:
+                engine.run_texts(texts, model, JobSpec(backend="native"))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 2 * window * per_doc
+
+
 class TestDeadlines:
     def _run(self, executor, jobs, deadline, batch_docs=None):
         token = set_active_deadline(deadline)
@@ -273,28 +397,26 @@ class TestDeadlines:
         ]
 
     @needs_native
-    def test_expired_batch_stops_before_its_remaining_tasks(
-        self, model, monkeypatch
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_expired_batch_claims_no_further_document(
+        self, model, monkeypatch, workers
     ):
-        """The deadline passes while the first documents mine: no task
-        that starts afterwards reaches the kernel."""
-        started = []
-        real = executors_module.run_job
-
-        def slow(job):
-            started.append(job.doc_id)
-            time.sleep(0.05)
-            return real(job)
-
-        monkeypatch.setattr(executors_module, "run_job", slow)
-        jobs = self._jobs(model, 20, JobSpec(backend="native"))
-        with ThreadExecutor(2) as executor:
-            with pytest.raises(DeadlineExceeded):
+        """The deadline passes while the first documents mine (each
+        lane's scan outlasts it): no lane claims a second document, the
+        ones in flight finish, and the run raises."""
+        calls = _spy_mine_batch(monkeypatch)
+        text = generate_null_string(model, 60_000, seed=3)
+        jobs = [
+            MiningJob(f"doc-{i}", text, JobSpec(backend="native"), model)
+            for i in range(12)
+        ]
+        with ThreadExecutor(workers) as executor:
+            with pytest.raises(DeadlineExceeded, match="unmined"):
                 self._run(
-                    executor, jobs, Deadline(time.monotonic() + 0.02)
+                    executor, jobs, Deadline(time.monotonic() + 0.15)
                 )
-        time.sleep(0.1)  # any task still running has finished by now
-        assert 1 <= len(started) <= 2  # one per thread, then the check
+        claimed = sum(len(docs) for _, _, docs in calls)
+        assert 1 <= claimed <= 4 * workers  # one per lane, then the check
 
     def test_serial_path_checks_before_each_kernel_call(self, model):
         jobs = self._jobs(model, 6, JobSpec(backend="python"))

@@ -11,6 +11,7 @@ boundaries, and documents with planted bursts that force bound updates
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.counts import PrefixCountIndex
@@ -117,6 +118,24 @@ def test_mine_batch_skewed_model_parity(accel):
     indexes = [PrefixCountIndex(model.encode(t), model.k) for t in texts]
     spec = JobSpec()
     expected = get_backend("python").mine_batch(indexes, model, spec)
+    assert get_backend(accel).mine_batch(indexes, model, spec) == expected
+
+
+@pytest.mark.parametrize("accel", ACCEL_BACKENDS)
+def test_mine_batch_minlength_one_is_not_the_binary_fast_path(accel):
+    """minlength with min_length == 1 at k == 2 walks the generic
+    arithmetic, as the reference does: its X² differs from mss's binary
+    form in the last ulp on a near-zero probability."""
+    model = BernoulliModel("ab", [1e-6 / (1 + 1e-6), 1 / (1 + 1e-6)])
+    indexes = [
+        PrefixCountIndex(np.array(codes, dtype=np.int64), 2)
+        for codes in ([1], [0, 1, 1], [1, 1, 0, 1])
+    ]
+    spec = JobSpec(problem="minlength", min_length=1)
+    expected = get_backend("python").mine_batch(indexes, model, spec)
+    assert expected != get_backend("python").mine_batch(
+        indexes, model, JobSpec()
+    )
     assert get_backend(accel).mine_batch(indexes, model, spec) == expected
 
 
