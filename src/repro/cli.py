@@ -136,6 +136,154 @@ def _emit(payload: dict, as_json: bool) -> None:
         print(render(entry))
 
 
+_BACKEND_HELP = (
+    "kernel backend: 'native' (compiled C, default; falls back to numpy "
+    "without a compiler), 'numpy' (vectorised) or 'python' (reference); "
+    "results are identical (env: REPRO_BACKEND)"
+)
+
+
+def _at_least(bound):
+    return (lambda value: value >= bound, f">= {bound}")
+
+
+#: The flags ``serve`` and ``route`` share, in ``--help`` order:
+#: ``(flag, argparse options, forwarded, check)``.  ``route --shards``
+#: passes every *forwarded* flag on to each ``serve`` child
+#: (:func:`_shard_serve_args`); ``check`` is ``(predicate, rule)`` for
+#: a value that is set, refused as ``"<flag> must be <rule>"``.
+_SERVICE_FLAGS = (
+    ("--alphabet", dict(
+        help="the service's default alphabet, e.g. 'ab' (requests may "
+             "override with their own; required by serve and by "
+             "route --shards)",
+    ), True, None),
+    ("--probs", dict(
+        help="comma-separated null probabilities matching --alphabet "
+             "(default: uniform)",
+    ), True, None),
+    ("--workers", dict(
+        type=int, default=1,
+        help="mining threads on the native kernels, each keeping four "
+             "scans in flight (default 1: the service's own mine "
+             "thread; a numpy or python backend mines on one thread)",
+    ), True, _at_least(1)),
+    ("--batch-docs", dict(
+        type=int, default=32, metavar="N",
+        help="micro-batch target: concurrent requests coalesce into "
+             "batches of up to N documents",
+    ), True, _at_least(1)),
+    ("--max-pending", dict(
+        type=int, default=1024, metavar="DOCS",
+        help="backpressure bound on queued documents; beyond it requests "
+             "get 429 + Retry-After",
+    ), True, _at_least(1)),
+    ("--tenant-fair-share", dict(
+        type=float, default=1.0, metavar="FRACTION",
+        help="fraction of --max-pending any one tenant (null model) may "
+             "hold queued; beyond it that tenant gets 429 while others "
+             "keep being admitted (default 1.0 = no per-tenant cap)",
+    ), True, (lambda value: 0.0 < value <= 1.0, "in (0, 1]")),
+    ("--default-timeout-ms", dict(
+        type=int, default=None, metavar="MS",
+        help="deadline applied to requests that do not send their own "
+             "timeout_ms; expired requests are answered 504 "
+             "(default: no deadline)",
+    ), True, _at_least(1)),
+    ("--drain-timeout", dict(
+        type=float, default=10.0, metavar="SECONDS",
+        help="how long shutdown waits for in-flight requests while new "
+             "ones are refused with 503; route waits this long for each "
+             "stage of its shard-by-shard drain (default 10s)",
+    ), False, _at_least(0)),
+    ("--correction", dict(
+        choices=["none", "bonferroni", "bh"], default="bh",
+        help="default per-request multiple-testing correction",
+    ), True, None),
+    ("--alpha", dict(
+        type=float, default=0.05,
+        help="default per-request significance level",
+    ), True, None),
+    ("--calibrate", dict(
+        action="store_true",
+        help="Monte-Carlo family-wise p-values via a disk-backed "
+             "calibration cache (warm restarts skip the simulation)",
+    ), True, None),
+    ("--trials", dict(
+        type=int, default=100,
+        help="Monte-Carlo trials per calibration bucket",
+    ), True, None),
+    ("--seed", dict(
+        type=int, default=0, help="calibration random seed",
+    ), True, None),
+    ("--cache-dir", dict(
+        default=None,
+        help="calibration store directory (default: "
+             "$XDG_CACHE_HOME/repro-mss or ~/.cache/repro-mss)",
+    ), True, None),
+    ("--calib-cache-entries", dict(
+        type=int, default=None, metavar="N",
+        help="LRU bound on in-memory calibration distributions; evicted "
+             "entries re-load from disk (--calibrate's store) or "
+             "re-simulate bit-identically (default: unbounded)",
+    ), True, _at_least(1)),
+    ("--log-format", dict(
+        choices=["text", "json"], default="text",
+        help="structured log output: human-readable text or JSON lines "
+             "on stderr",
+    ), True, None),
+    ("--log-level", dict(
+        choices=["debug", "info", "warning", "error"], default="info",
+        help="minimum level for structured log events (access logs are "
+             "'info')",
+    ), True, None),
+    ("--trace-sample", dict(
+        type=float, default=1.0, metavar="RATE",
+        help="fraction of request traces recorded (head sampling, "
+             "deterministic on the trace id so router and shards agree; "
+             "errors and slow requests are always kept; default 1.0)",
+    ), True, (lambda value: 0.0 <= value <= 1.0, "in [0, 1]")),
+    ("--trace-log", dict(
+        default=None, metavar="PATH",
+        help="append every kept trace tree to PATH as JSON lines (route: "
+             "the router's own; GET /trace/<id> assembles the shards')",
+    ), False, None),
+    ("--slo", dict(
+        default=None, metavar="SPEC",
+        help="enforce latency/error objectives on /mine, e.g. "
+             "'p99:250ms,errors:0.1%%'; multi-window burn rates render "
+             "on /metrics and a fast burn sets slo_fast_burn on /healthz",
+    ), True, None),
+    ("--backend", dict(default=None, help=_BACKEND_HELP), True, None),
+)
+
+
+def _add_service_flags(parser, *, alphabet_required: bool) -> None:
+    """Add every :data:`_SERVICE_FLAGS` row to ``parser``."""
+    for flag, options, _, _ in _SERVICE_FLAGS:
+        if flag == "--alphabet":
+            options = dict(options, required=alphabet_required)
+        parser.add_argument(flag, **options)
+
+
+def _check_service_flags(args: argparse.Namespace) -> None:
+    """Refuse out-of-range :data:`_SERVICE_FLAGS` values (SystemExit)."""
+    for flag, _, _, check in _SERVICE_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if check is not None and value is not None and not check[0](value):
+            raise SystemExit(f"{flag} must be {check[1]}")
+    if args.calibrate and args.trials < 10:
+        raise SystemExit("--trials must be >= 10 for a usable Monte-Carlo "
+                         "null distribution")
+    if args.slo is not None:
+        from repro.obs.slo import parse_slo_spec
+
+        try:
+            parse_slo_spec(args.slo)
+        except ValueError as exc:
+            raise SystemExit(f"--slo: {exc}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -155,14 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_backend(p)
 
     def add_backend(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--backend",
-            default=None,
-            help="kernel backend: 'native' (compiled C, default; falls "
-                 "back to numpy without a compiler), 'numpy' "
-                 "(vectorised) or 'python' (reference); results are "
-                 "identical (env: REPRO_BACKEND)",
-        )
+        p.add_argument("--backend", default=None, help=_BACKEND_HELP)
 
     mss = sub.add_parser("mss", help="most significant substring (Problem 1)")
     common(mss)
@@ -280,134 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8765,
                        help="bind port (0 = ephemeral; default 8765)")
-    serve.add_argument(
-        "--alphabet",
-        required=True,
-        help="the service's default alphabet, e.g. 'ab' (requests may "
-             "override with their own)",
-    )
-    serve.add_argument(
-        "--probs",
-        help="comma-separated null probabilities matching --alphabet "
-             "(default: uniform)",
-    )
-    serve.add_argument("--workers", type=int, default=1,
-                       help="persistent mining threads, one document per "
-                            "task on the native kernels (1 = serial; a "
-                            "numpy or python backend mines on one thread)")
-    serve.add_argument(
-        "--batch-docs",
-        type=int,
-        default=32,
-        metavar="N",
-        help="micro-batch target: concurrent requests coalesce into "
-             "batches of up to N documents",
-    )
-    serve.add_argument(
-        "--max-pending",
-        type=int,
-        default=1024,
-        metavar="DOCS",
-        help="backpressure bound on queued documents; beyond it requests "
-             "get 429 + Retry-After",
-    )
-    serve.add_argument(
-        "--tenant-fair-share",
-        type=float,
-        default=1.0,
-        metavar="FRACTION",
-        help="fraction of --max-pending any one tenant (null model) may "
-             "hold queued; beyond it that tenant gets 429 while others "
-             "keep being admitted (default 1.0 = no per-tenant cap)",
-    )
-    serve.add_argument(
-        "--default-timeout-ms",
-        type=int,
-        default=None,
-        metavar="MS",
-        help="deadline applied to requests that do not send their own "
-             "timeout_ms; expired requests are answered 504 "
-             "(default: no deadline)",
-    )
-    serve.add_argument(
-        "--drain-timeout",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="how long shutdown waits for in-flight requests while new "
-             "ones are refused with 503 (default 10s)",
-    )
-    serve.add_argument(
-        "--correction",
-        choices=["none", "bonferroni", "bh"],
-        default="bh",
-        help="default per-request multiple-testing correction",
-    )
-    serve.add_argument("--alpha", type=float, default=0.05,
-                       help="default per-request significance level")
-    serve.add_argument(
-        "--calibrate",
-        action="store_true",
-        help="Monte-Carlo family-wise p-values via a disk-backed "
-             "calibration cache (warm restarts skip the simulation)",
-    )
-    serve.add_argument("--trials", type=int, default=100,
-                       help="Monte-Carlo trials per calibration bucket")
-    serve.add_argument("--seed", type=int, default=0,
-                       help="calibration random seed")
-    serve.add_argument(
-        "--cache-dir",
-        default=None,
-        help="calibration store directory (default: "
-             "$XDG_CACHE_HOME/repro-mss or ~/.cache/repro-mss)",
-    )
-    serve.add_argument(
-        "--calib-cache-entries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="LRU bound on in-memory calibration distributions; evicted "
-             "entries re-load from disk (--calibrate's store) or "
-             "re-simulate bit-identically (default: unbounded)",
-    )
-    serve.add_argument(
-        "--log-format",
-        choices=["text", "json"],
-        default="text",
-        help="structured log output: human-readable text or JSON lines "
-             "on stderr",
-    )
-    serve.add_argument(
-        "--log-level",
-        choices=["debug", "info", "warning", "error"],
-        default="info",
-        help="minimum level for structured log events (access logs are "
-             "'info')",
-    )
-    serve.add_argument(
-        "--trace-sample",
-        type=float,
-        default=1.0,
-        metavar="RATE",
-        help="fraction of request traces recorded (head sampling, "
-             "deterministic on the trace id so router and shards agree; "
-             "errors and slow requests are always kept; default 1.0)",
-    )
-    serve.add_argument(
-        "--trace-log",
-        default=None,
-        metavar="PATH",
-        help="append every kept trace tree to PATH as JSON lines",
-    )
-    serve.add_argument(
-        "--slo",
-        default=None,
-        metavar="SPEC",
-        help="enforce latency/error objectives on /mine, e.g. "
-             "'p99:250ms,errors:0.1%%'; multi-window burn rates render "
-             "on /metrics and a fast burn sets slo_fast_burn on /healthz",
-    )
-    add_backend(serve)
+    _add_service_flags(serve, alphabet_required=True)
 
     route = sub.add_parser(
         "route",
@@ -454,86 +468,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="consecutive failed probes before a shard is ejected as "
              "dead (default 2)",
     )
-    route.add_argument(
-        "--drain-timeout",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="per-stage bound on the ordered shutdown drain (default 10s)",
+    _add_service_flags(
+        route.add_argument_group(
+            "service flags",
+            "the serve flags; with --shards, every one but --drain-timeout "
+            "and --trace-log is passed on to each spawned shard, and the "
+            "router itself uses --drain-timeout, --trace-log, "
+            "--trace-sample and the log flags",
+        ),
+        alphabet_required=False,
     )
-    # Spawned-shard configuration: forwarded verbatim to each
-    # `serve --port 0` child (--shards mode only).
-    route.add_argument("--alphabet",
-                       help="shards' default alphabet (required with "
-                            "--shards)")
-    route.add_argument("--probs",
-                       help="comma-separated null probabilities matching "
-                            "--alphabet")
-    route.add_argument("--workers", type=int, default=1,
-                       help="mining threads per shard (see serve)")
-    route.add_argument("--batch-docs", type=int, default=32, metavar="N",
-                       help="per-shard micro-batch target")
-    route.add_argument("--max-pending", type=int, default=1024,
-                       metavar="DOCS", help="per-shard backpressure bound")
-    route.add_argument("--tenant-fair-share", type=float, default=1.0,
-                       metavar="FRACTION",
-                       help="per-shard per-tenant quota (see serve)")
-    route.add_argument("--default-timeout-ms", type=int, default=None,
-                       metavar="MS",
-                       help="per-shard default request deadline")
-    route.add_argument("--correction",
-                       choices=["none", "bonferroni", "bh"], default="bh",
-                       help="shards' default multiple-testing correction")
-    route.add_argument("--alpha", type=float, default=0.05,
-                       help="shards' default significance level")
-    route.add_argument("--calibrate", action="store_true",
-                       help="shards use disk-backed Monte-Carlo "
-                            "calibration")
-    route.add_argument("--trials", type=int, default=100,
-                       help="Monte-Carlo trials per calibration bucket")
-    route.add_argument("--seed", type=int, default=0,
-                       help="calibration random seed")
-    route.add_argument("--cache-dir", default=None,
-                       help="shards' shared calibration store directory")
-    route.add_argument("--calib-cache-entries", type=int, default=None,
-                       metavar="N",
-                       help="per-shard in-memory calibration LRU bound")
-    route.add_argument(
-        "--log-format",
-        choices=["text", "json"],
-        default="text",
-        help="router structured log output on stderr",
-    )
-    route.add_argument(
-        "--log-level",
-        choices=["debug", "info", "warning", "error"],
-        default="info",
-        help="minimum level for router log events",
-    )
-    route.add_argument(
-        "--trace-sample",
-        type=float,
-        default=1.0,
-        metavar="RATE",
-        help="trace sampling rate for the router AND the spawned "
-             "shards (deterministic on the trace id, so one request "
-             "is kept everywhere or nowhere; default 1.0)",
-    )
-    route.add_argument(
-        "--trace-log",
-        default=None,
-        metavar="PATH",
-        help="router-side JSON-lines trace sink (shards keep their "
-             "in-memory rings; GET /trace/<id> assembles across them)",
-    )
-    route.add_argument(
-        "--slo",
-        default=None,
-        metavar="SPEC",
-        help="per-shard SLO spec forwarded to every spawned shard "
-             "(e.g. 'p99:250ms,errors:0.1%%')",
-    )
-    add_backend(route)
 
     generate = sub.add_parser("generate", help="emit a synthetic string")
     generate.add_argument(
@@ -764,32 +708,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     from repro.service import DiskCalibrationCache, MiningService
 
     configure_logging(format=args.log_format, level=args.log_level)
-    if args.workers < 1:
-        raise SystemExit("--workers must be >= 1")
-    if args.batch_docs < 1:
-        raise SystemExit("--batch-docs must be >= 1")
-    if args.max_pending < 1:
-        raise SystemExit("--max-pending must be >= 1")
-    if not 0.0 < args.tenant_fair_share <= 1.0:
-        raise SystemExit("--tenant-fair-share must be in (0, 1]")
-    if args.calib_cache_entries is not None and args.calib_cache_entries < 1:
-        raise SystemExit("--calib-cache-entries must be >= 1")
-    if args.default_timeout_ms is not None and args.default_timeout_ms < 1:
-        raise SystemExit("--default-timeout-ms must be >= 1")
-    if args.drain_timeout < 0:
-        raise SystemExit("--drain-timeout must be >= 0")
-    if args.calibrate and args.trials < 10:
-        raise SystemExit("--trials must be >= 10 for a usable Monte-Carlo "
-                         "null distribution")
-    if not 0.0 <= args.trace_sample <= 1.0:
-        raise SystemExit("--trace-sample must be in [0, 1]")
-    if args.slo is not None:
-        from repro.obs.slo import parse_slo_spec
-
-        try:
-            parse_slo_spec(args.slo)
-        except ValueError as exc:
-            raise SystemExit(f"--slo: {exc}") from None
+    _check_service_flags(args)
     symbols = list(args.alphabet)
     if args.probs is None:
         model = BernoulliModel.uniform(symbols)
@@ -839,36 +758,14 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 
 def _shard_serve_args(args: argparse.Namespace) -> list[str]:
-    """The ``serve`` argv each spawned shard runs with (after --port 0)."""
-    shard_args = [
-        "--alphabet", args.alphabet,
-        "--workers", str(args.workers),
-        "--batch-docs", str(args.batch_docs),
-        "--max-pending", str(args.max_pending),
-        "--tenant-fair-share", str(args.tenant_fair_share),
-        "--correction", args.correction,
-        "--alpha", str(args.alpha),
-        "--log-format", args.log_format,
-        "--log-level", args.log_level,
-    ]
-    if args.probs is not None:
-        shard_args += ["--probs", args.probs]
-    if args.default_timeout_ms is not None:
-        shard_args += ["--default-timeout-ms", str(args.default_timeout_ms)]
-    if args.trace_sample != 1.0:
-        shard_args += ["--trace-sample", str(args.trace_sample)]
-    if args.slo is not None:
-        shard_args += ["--slo", args.slo]
-    if args.calibrate:
-        shard_args += ["--calibrate", "--trials", str(args.trials),
-                       "--seed", str(args.seed)]
-        if args.cache_dir is not None:
-            shard_args += ["--cache-dir", args.cache_dir]
-        if args.calib_cache_entries is not None:
-            shard_args += ["--calib-cache-entries",
-                           str(args.calib_cache_entries)]
-    if args.backend is not None:
-        shard_args += ["--backend", args.backend]
+    """The ``serve`` argv each spawned shard runs with (after --port 0):
+    every forwarded :data:`_SERVICE_FLAGS` flag that is set."""
+    shard_args = []
+    for flag, _, forwarded, _ in _SERVICE_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if not forwarded or value is None or value is False:
+            continue
+        shard_args.append(flag if value is True else f"{flag}={value}")
     return shard_args
 
 
@@ -883,17 +780,7 @@ def _run_route(args: argparse.Namespace) -> int:
         raise SystemExit("--health-interval-ms must be > 0")
     if args.fail_after < 1:
         raise SystemExit("--fail-after must be >= 1")
-    if args.drain_timeout < 0:
-        raise SystemExit("--drain-timeout must be >= 0")
-    if not 0.0 <= args.trace_sample <= 1.0:
-        raise SystemExit("--trace-sample must be in [0, 1]")
-    if args.slo is not None:
-        from repro.obs.slo import parse_slo_spec
-
-        try:
-            parse_slo_spec(args.slo)
-        except ValueError as exc:
-            raise SystemExit(f"--slo: {exc}") from None
+    _check_service_flags(args)
 
     processes: list[ShardProcess] = []
     upstreams: list[tuple[str, int]] = []
@@ -903,8 +790,6 @@ def _run_route(args: argparse.Namespace) -> int:
         if args.alphabet is None:
             raise SystemExit("--shards requires --alphabet (the spawned "
                              "shards' default model)")
-        if not 0.0 < args.tenant_fair_share <= 1.0:
-            raise SystemExit("--tenant-fair-share must be in (0, 1]")
         shard_args = _shard_serve_args(args)
         try:
             for index in range(args.shards):

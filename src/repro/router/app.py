@@ -49,7 +49,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-import signal
 import time
 
 from repro.engine.deadline import Deadline
@@ -59,10 +58,11 @@ from repro.obs.tracesink import TraceSampler, TraceSink
 from repro.obs.tracing import Trace, TraceRecorder, valid_trace_id
 from repro.router.manager import ShardProcess
 from repro.router.ring import DEFAULT_REPLICAS, HashRing, routing_key
+from repro.service.frontdoor import FrontDoor
 from repro.service.protocol import (
     _REASONS,
-    ProtocolError,
-    read_request,
+    MAX_HEAD_BYTES,
+    read_message,
     response_bytes,
     text_response_bytes,
 )
@@ -71,17 +71,10 @@ __all__ = ["RouterService", "ShardState"]
 
 _LOG = get_logger("repro.router")
 
-#: Endpoint label values for the router's HTTP metrics (unknown paths
-#: clamp to "other", mirroring the service; ``/trace/<id>`` collapses
-#: to one "/trace" label).
-_KNOWN_ENDPOINTS = frozenset(
-    {"/mine", "/healthz", "/stats", "/metrics", "/trace"}
-)
-
 #: Upstream hop-by-hop headers never forwarded to the client; the
 #: router speaks keep-alive to its own clients regardless of how the
 #: upstream exchange ended, and re-frames Content-Length itself.
-_HOP_HEADERS_BYTES = frozenset({b"connection", b"content-length"})
+_HOP_HEADERS = frozenset({"connection", "content-length"})
 
 
 class ShardState:
@@ -142,8 +135,11 @@ class ShardState:
         )
 
 
-class RouterService:
+class RouterService(FrontDoor):
     """Route mining traffic across N shards with affinity and failover.
+
+    Its HTTP lifecycle is the shared
+    :class:`~repro.service.frontdoor.FrontDoor`, as the service's is.
 
     Parameters
     ----------
@@ -177,6 +173,8 @@ class RouterService:
         Optional JSON-lines sink path for kept router traces (``route
         --trace-log``).
     """
+
+    default_port = 8799
 
     def __init__(
         self,
@@ -216,7 +214,6 @@ class RouterService:
             if probe_timeout is not None
             else min(2.0, max(0.25, health_interval))
         )
-        self.drain_timeout = drain_timeout
         # Optimistic start: every shard is routable until a probe says
         # otherwise, so the first requests never wait a full sweep.
         self.ring = HashRing(self.shards, replicas=replicas)
@@ -227,7 +224,7 @@ class RouterService:
         self.sampler = TraceSampler(trace_sample)
         self.trace_sink = TraceSink(trace_log) if trace_log else None
         self.metrics = MetricsRegistry()
-        self._http_requests = self.metrics.counter(
+        http_requests = self.metrics.counter(
             "repro_router_requests_total",
             "Requests served by the router, by endpoint and status code.",
             labelnames=("endpoint", "status"),
@@ -260,14 +257,20 @@ class RouterService:
         )
         self._healthy_gauge.set(float(len(self.shards)))
         self._pools: dict[str, list[tuple]] = {name: [] for name in self.shards}
-        self._server: asyncio.base_events.Server | None = None
         self._health_task: asyncio.Task | None = None
-        self._started_at: float | None = None
-        self.address: tuple[str, int] | None = None
-        self._connections: set[asyncio.Task] = set()
-        self._active_exchanges = 0
-        self._draining = False
         self._stopped = False
+        super().__init__(
+            routes={
+                "/mine": ("POST", self._proxy_mine),
+                "/healthz": ("GET", self._get_healthz),
+                "/stats": ("GET", self._get_stats),
+                "/metrics": ("GET", self._get_metrics),
+            },
+            prefix_route=("/trace/", "GET", self._assemble_trace),
+            requests=http_requests,
+            role="router",
+            drain_timeout=drain_timeout,
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -278,24 +281,19 @@ class RouterService:
     ) -> tuple[str, int]:
         """Bind the front door and start the health sweep.
 
-        Mirrors :meth:`MiningService.start`: ``port=0`` binds an
-        ephemeral port; the bound ``(host, port)`` is returned and kept
-        on :attr:`address`.  A stopped router cannot be restarted.
+        As :meth:`MiningService.start`: ``port=0`` binds an ephemeral
+        port; the bound ``(host, port)`` is returned and kept on
+        :attr:`address`.  A stopped router cannot be restarted.
         """
         if self._stopped:
             raise RuntimeError(
                 "this RouterService has been stopped and cannot be "
                 "restarted; build a new one"
             )
-        self._server = await asyncio.start_server(self._handle, host, port)
-        bound = self._server.sockets[0].getsockname()
-        self.address = (bound[0], bound[1])
-        self._started_at = time.monotonic()
+        host, port = await self._bind(host, port)
         self._health_task = asyncio.create_task(self._health_loop())
         _LOG.info(
-            "router_started",
-            address=f"{bound[0]}:{bound[1]}",
-            shards=len(self.shards),
+            "router_started", address=f"{host}:{port}", shards=len(self.shards)
         )
         return self.address
 
@@ -309,24 +307,14 @@ class RouterService:
         waited on before the next shard is touched.  Externally managed
         upstreams are left running.
         """
-        self._draining = True
         self._stopped = True
+        await self._close_door()
         if self._health_task is not None:
             self._health_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._health_task
             self._health_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        deadline = time.monotonic() + self.drain_timeout
-        while self._active_exchanges and time.monotonic() < deadline:
-            await asyncio.sleep(0.005)
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
+        await self._drain()
         for name in sorted(self.shards):
             state = self.shards[name]
             self.ring.remove(name)
@@ -339,40 +327,6 @@ class RouterService:
         if self.trace_sink is not None:
             self.trace_sink.close()
         self._healthy_gauge.set(0.0)
-
-    async def serve_forever(
-        self, host: str = "127.0.0.1", port: int = 8799, on_bound=None
-    ) -> None:
-        """Start and serve until cancelled or SIGTERMed, then drain."""
-        bound = await self.start(host, port)
-        if on_bound is not None:
-            on_bound(bound)
-        loop = asyncio.get_running_loop()
-        task = asyncio.current_task()
-        sigterm_installed = False
-        try:
-            loop.add_signal_handler(signal.SIGTERM, task.cancel)
-            sigterm_installed = True
-        except (NotImplementedError, RuntimeError, ValueError):
-            pass
-        try:
-            await self._server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            if sigterm_installed:
-                with contextlib.suppress(Exception):
-                    loop.remove_signal_handler(signal.SIGTERM)
-            await self.stop()
-
-    def run(
-        self, host: str = "127.0.0.1", port: int = 8799, on_bound=None
-    ) -> None:
-        """Blocking convenience used by ``repro-mss route``."""
-        try:
-            asyncio.run(self.serve_forever(host, port, on_bound=on_bound))
-        except KeyboardInterrupt:
-            pass
 
     # ------------------------------------------------------------------
     # Health.
@@ -393,16 +347,13 @@ class RouterService:
     async def _probe(self, state: ShardState) -> None:
         """One health check; eject or rejoin ``state`` accordingly."""
         try:
-            status, _, body = await asyncio.wait_for(
-                self._raw_exchange(
-                    state.address, b"GET /healthz HTTP/1.1", b""
-                ),
+            status, _, _, body = await asyncio.wait_for(
+                self._get(state.address, "/healthz"),
                 timeout=self.probe_timeout,
             )
             payload = json.loads(body)
             health = payload.get("status", "ok")
-        except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError,
-                ValueError) as exc:
+        except (OSError, asyncio.TimeoutError, ValueError) as exc:
             state.consecutive_failures += 1
             state.detail = f"{type(exc).__name__}: {exc}"[:200]
             if (
@@ -463,57 +414,47 @@ class RouterService:
             writer.close()
         self._pools[name] = []
 
-    async def _raw_exchange(
-        self,
-        address: tuple[str, int],
-        request_line: bytes,
-        body: bytes,
-        extra_headers: bytes = b"",
-    ) -> tuple[int, list[tuple[bytes, bytes]], bytes]:
-        """One fresh-connection HTTP exchange (health probes, fan-out)."""
-        reader, writer = await asyncio.open_connection(*address)
+    async def _get(
+        self, address: tuple[str, int], target: str
+    ) -> tuple[int, str, dict[str, str], bytes]:
+        """One ``GET`` on a fresh connection (health probes, fan-out)."""
+        reader, writer = await asyncio.open_connection(
+            *address, limit=MAX_HEAD_BYTES
+        )
+        request = (
+            f"GET {target} HTTP/1.1\r\nHost: {address[0]}:{address[1]}\r\n"
+            "Content-Length: 0\r\nConnection: close\r\n\r\n"
+        )
         try:
-            host = f"{address[0]}:{address[1]}".encode("latin-1")
-            writer.write(
-                request_line
-                + b"\r\nHost: " + host
-                + b"\r\nContent-Length: " + str(len(body)).encode("ascii")
-                + b"\r\n"
-                + extra_headers
-                + b"Connection: close\r\n\r\n"
-                + body
+            return await self._exchange(
+                reader, writer, request.encode("latin-1")
             )
-            await writer.drain()
-            return await self._read_response(reader)
         finally:
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
 
-    async def _read_response(
-        self, reader: asyncio.StreamReader
-    ) -> tuple[int, list[tuple[bytes, bytes]], bytes]:
-        """Parse one upstream response: (status, header pairs, body)."""
-        head = await reader.readuntil(b"\r\n\r\n")
-        lines = head.split(b"\r\n")
-        parts = lines[0].split(None, 2)
-        status = int(parts[1])
-        headers: list[tuple[bytes, bytes]] = []
-        length = 0
-        for line in lines[1:]:
-            if not line:
-                continue
-            name, _, value = line.partition(b":")
-            name, value = name.strip(), value.strip()
-            headers.append((name, value))
-            if name.lower() == b"content-length":
-                length = int(value)
-        body = await reader.readexactly(length) if length else b""
-        return status, headers, body
+    @staticmethod
+    async def _exchange(
+        reader, writer, request: bytes
+    ) -> tuple[int, str, dict[str, str], bytes]:
+        """Send one request and read its answer: ``(status, reason,
+        headers, body)``.
+
+        A shard that closes the connection before answering raises
+        :class:`ConnectionResetError`: on a pooled connection that is a
+        stale keep-alive, on a fresh one a failed exchange.
+        """
+        writer.write(request)
+        await writer.drain()
+        answer = await read_message(reader, response=True)
+        if answer is None:
+            raise ConnectionResetError("closed before answering")
+        return answer
 
     async def _pooled_exchange(
         self, state: ShardState, request: bytes
-    ) -> tuple[int, list[tuple[bytes, bytes]], bytes]:
+    ) -> tuple[int, str, dict[str, str], bytes]:
         """One keep-alive exchange with ``state``, reusing its pool.
 
         A pooled connection that fails is assumed stale (the shard may
@@ -528,126 +469,44 @@ class RouterService:
                 writer.close()
                 continue
             try:
-                writer.write(request)
-                await writer.drain()
-                status, headers, body = await self._read_response(reader)
-            except (OSError, asyncio.IncompleteReadError, ValueError):
+                answer = await self._exchange(reader, writer, request)
+            except (OSError, ValueError):
                 writer.close()
                 continue  # stale keep-alive; fall through to fresh
-            self._return_to_pool(state, reader, writer, headers)
-            return status, headers, body
-        reader, writer = await asyncio.open_connection(*state.address)
+            self._return_to_pool(state, reader, writer, answer[2])
+            return answer
+        reader, writer = await asyncio.open_connection(
+            *state.address, limit=MAX_HEAD_BYTES
+        )
         try:
-            writer.write(request)
-            await writer.drain()
-            status, headers, body = await self._read_response(reader)
+            answer = await self._exchange(reader, writer, request)
         except BaseException:
             writer.close()
             raise
-        self._return_to_pool(state, reader, writer, headers)
-        return status, headers, body
+        self._return_to_pool(state, reader, writer, answer[2])
+        return answer
 
     def _return_to_pool(self, state, reader, writer, headers) -> None:
         """Park a connection for reuse unless the shard asked to close."""
-        closing = any(
-            name.lower() == b"connection" and b"close" in value.lower()
-            for name, value in headers
-        )
+        closing = "close" in headers.get("connection", "").lower()
         if closing or not state.healthy or self._draining:
             writer.close()
             return
         self._pools.setdefault(state.name, []).append((reader, writer))
 
     # ------------------------------------------------------------------
-    # Client-side connection handling (mirrors MiningService).
+    # Endpoints.
     # ------------------------------------------------------------------
 
-    async def _handle(self, reader, writer) -> None:
-        """Serve one keep-alive client connection."""
-        task = asyncio.current_task()
-        self._connections.add(task)
-        try:
-            while True:
-                try:
-                    parsed = await read_request(reader, writer)
-                except ProtocolError as exc:
-                    writer.write(
-                        response_bytes(
-                            400, {"error": str(exc)}, keep_alive=False
-                        )
-                    )
-                    await writer.drain()
-                    break
-                if parsed is None:
-                    break
-                method, target, headers, body = parsed
-                if self._draining:
-                    response = response_bytes(
-                        503,
-                        {"error": "router is draining for shutdown"},
-                        keep_alive=False,
-                    )
-                    self._count_request(target, response)
-                    writer.write(response)
-                    await writer.drain()
-                    break
-                self._active_exchanges += 1
-                try:
-                    response = await self._route(method, target, headers, body)
-                    self._count_request(target, response)
-                    writer.write(response)
-                    await writer.drain()
-                finally:
-                    self._active_exchanges -= 1
-                if headers.get("connection", "").lower() == "close":
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            self._connections.discard(task)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+    async def _get_healthz(self, path, query, headers, body) -> bytes:
+        return response_bytes(200, self.healthz())
 
-    def _count_request(self, target: str, response: bytes) -> None:
-        path = target.split("?", 1)[0]
-        if path.startswith("/trace/"):
-            path = "/trace"
-        endpoint = path if path in _KNOWN_ENDPOINTS else "other"
-        try:
-            status = response[9:12].decode("ascii")
-        except (IndexError, UnicodeDecodeError):  # pragma: no cover
-            status = "???"
-        self._http_requests.labels(endpoint=endpoint, status=status).inc()
+    async def _get_stats(self, path, query, headers, body) -> bytes:
+        target = f"{path}?{query}" if query else path
+        return response_bytes(200, await self._aggregate_stats(target))
 
-    async def _route(
-        self, method: str, target: str, headers: dict, body: bytes
-    ) -> bytes:
-        """Dispatch one request; always returns a full response."""
-        path, _, _ = target.partition("?")
-        if path == "/mine":
-            if method != "POST":
-                return response_bytes(405, {"error": "use POST"})
-            return await self._proxy_mine(headers, body)
-        if path.startswith("/trace/"):
-            if method != "GET":
-                return response_bytes(405, {"error": "use GET"})
-            return await self._assemble_trace(path[len("/trace/"):])
-        if path == "/healthz":
-            if method != "GET":
-                return response_bytes(405, {"error": "use GET"})
-            return response_bytes(200, self.healthz())
-        if path == "/stats":
-            if method != "GET":
-                return response_bytes(405, {"error": "use GET"})
-            return response_bytes(200, await self._aggregate_stats(target))
-        if path == "/metrics":
-            if method != "GET":
-                return response_bytes(405, {"error": "use GET"})
-            return text_response_bytes(200, await self._aggregate_metrics())
-        return response_bytes(404, {"error": f"no such endpoint {path!r}"})
+    async def _get_metrics(self, path, query, headers, body) -> bytes:
+        return text_response_bytes(200, await self._aggregate_metrics())
 
     # ------------------------------------------------------------------
     # POST /mine proxying.
@@ -661,30 +520,27 @@ class RouterService:
     def _routing_info(body: bytes) -> tuple[str, int | None]:
         """(routing key, timeout_ms) for one raw ``/mine`` body.
 
-        ``timeout_ms`` is sniffed leniently: a malformed value routes
-        with no router-side deadline and earns its 400 on the shard,
-        where the real validator lives.
+        The body is decoded once, for both.  ``timeout_ms`` is sniffed
+        leniently: a malformed value routes with no router-side deadline
+        and earns its 400 on the shard, where the real validator lives,
+        as does a body that does not decode (nesting too deep included).
         """
-        key = routing_key(body)
-        timeout_ms: int | None = None
         try:
             payload = json.loads(body)
-            candidate = (
-                payload.get("timeout_ms")
-                if isinstance(payload, dict)
-                else None
-            )
-            if (
-                isinstance(candidate, int)
-                and not isinstance(candidate, bool)
-                and candidate > 0
-            ):
-                timeout_ms = candidate
-        except ValueError:
-            pass
-        return key, timeout_ms
+        except (ValueError, RecursionError):
+            payload = None
+        timeout_ms = (
+            payload.get("timeout_ms") if isinstance(payload, dict) else None
+        )
+        if (
+            not isinstance(timeout_ms, int)
+            or isinstance(timeout_ms, bool)
+            or timeout_ms <= 0
+        ):
+            timeout_ms = None
+        return routing_key(body, payload), timeout_ms
 
-    async def _proxy_mine(self, headers: dict, body: bytes) -> bytes:
+    async def _proxy_mine(self, path, query, headers: dict, body: bytes) -> bytes:
         """Place, forward, and (once) fail over one mine request.
 
         The router is the edge of the traced fleet: it adopts a valid
@@ -748,12 +604,12 @@ class RouterService:
             attempt_started = time.perf_counter()
             try:
                 if deadline is not None:
-                    status, up_headers, resp_body = await asyncio.wait_for(
+                    status, _, up_headers, resp_body = await asyncio.wait_for(
                         self._pooled_exchange(state, request),
                         timeout=max(0.0, deadline.remaining()) + 1.0,
                     )
                 else:
-                    status, up_headers, resp_body = (
+                    status, _, up_headers, resp_body = (
                         await self._pooled_exchange(state, request)
                     )
             except asyncio.TimeoutError:
@@ -774,7 +630,7 @@ class RouterService:
                         "shard": name,
                     },
                 )
-            except (OSError, asyncio.IncompleteReadError, ValueError) as exc:
+            except (OSError, ValueError) as exc:
                 self._record_exchange_failure(state, exc)
                 self._proxied.labels(shard=name, status="error").inc()
                 trace.add(
@@ -854,26 +710,26 @@ class RouterService:
     @staticmethod
     def _client_response(
         status: int,
-        headers: list[tuple[bytes, bytes]],
+        headers: dict[str, str],
         body: bytes,
         shard: str,
     ) -> bytes:
         """Re-frame one upstream answer for the client, body untouched.
 
-        Upstream headers ride along verbatim (``X-Trace-Id``,
-        ``Retry-After``, ``Content-Type``); only hop-by-hop framing is
-        the router's own, plus ``X-Shard`` naming the origin.
+        Upstream headers ride along in their order and with their values
+        (``X-Trace-Id``, ``Retry-After``, ``Content-Type``), names in
+        the canonical capitalisation the service writes; only
+        hop-by-hop framing is the router's own, plus ``X-Shard`` naming
+        the origin.
         """
-        reason = _REASONS.get(status, "Unknown").encode("latin-1")
-        lines = [b"HTTP/1.1 " + str(status).encode("ascii") + b" " + reason]
-        for name, value in headers:
-            if name.lower() in _HOP_HEADERS_BYTES:
-                continue
-            lines.append(name + b": " + value)
-        lines.append(b"Content-Length: %d" % len(body))
-        lines.append(b"Connection: keep-alive")
-        lines.append(b"X-Shard: " + shard.encode("latin-1"))
-        return b"\r\n".join(lines) + b"\r\n\r\n" + body
+        lines = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}"]
+        for name, value in headers.items():
+            if name not in _HOP_HEADERS:
+                lines.append(f"{name.title()}: {value}")
+        lines.append(f"Content-Length: {len(body)}")
+        lines.append("Connection: keep-alive")
+        lines.append(f"X-Shard: {shard}")
+        return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
 
     # ------------------------------------------------------------------
     # Aggregated observability.
@@ -896,11 +752,7 @@ class RouterService:
         return {
             "status": status,
             "role": "router",
-            "uptime_seconds": (
-                time.monotonic() - self._started_at
-                if self._started_at is not None
-                else 0.0
-            ),
+            "uptime_seconds": self.uptime_seconds,
             "shards_healthy": healthy,
             "shards_total": len(self.shards),
             "shards": {
@@ -914,20 +766,15 @@ class RouterService:
     ) -> tuple[int, bytes] | None:
         """GET ``target`` from one shard; ``None`` when unreachable."""
         try:
-            status, _, body = await asyncio.wait_for(
-                self._raw_exchange(
-                    state.address,
-                    b"GET " + target.encode("latin-1") + b" HTTP/1.1",
-                    b"",
-                ),
+            status, _, _, body = await asyncio.wait_for(
+                self._get(state.address, target),
                 timeout=max(self.probe_timeout, 2.0),
             )
             return status, body
-        except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError,
-                ValueError):
+        except (OSError, asyncio.TimeoutError, ValueError):
             return None
 
-    async def _assemble_trace(self, trace_id: str) -> bytes:
+    async def _assemble_trace(self, path, query, headers, body) -> bytes:
         """``GET /trace/<id>``: the fleet-wide view of one request.
 
         The router holds the top of the tree (``route`` + per-attempt
@@ -940,6 +787,7 @@ class RouterService:
         at *its* trace start) -- durations are comparable, offsets
         across processes are not, and the node says so.
         """
+        trace_id = path[len("/trace/"):]
         if not valid_trace_id(trace_id):
             return response_bytes(
                 400,
@@ -1070,11 +918,7 @@ class RouterService:
                 shards[name] = {"error": f"http {status}: non-JSON stats"}
         return {
             "router": {
-                "uptime_seconds": (
-                    time.monotonic() - self._started_at
-                    if self._started_at is not None
-                    else 0.0
-                ),
+                "uptime_seconds": self.uptime_seconds,
                 "ring": {
                     "nodes": sorted(self.ring.nodes),
                     "replicas": self.ring.replicas,

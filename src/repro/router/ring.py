@@ -59,8 +59,11 @@ _KEY_FIELDS = (
     "backend",
 )
 
+#: ``routing_key``'s default: decode the body itself.
+_UNDECODED = object()
 
-def routing_key(body: bytes) -> str:
+
+def routing_key(body: bytes, payload: object = _UNDECODED) -> str:
     """The shard-affinity key for one ``POST /mine`` body.
 
     Hashes exactly the fields that form the micro-batcher's coalescing
@@ -70,7 +73,9 @@ def routing_key(body: bytes) -> str:
     batch hash identically, and the documents themselves (which never
     affect batching) do not perturb placement.  The router calls this
     on the *raw* body: full request validation stays on the shards,
-    where a 400 is produced once instead of twice.
+    where a 400 is produced once instead of twice.  A caller that has
+    already decoded the body passes the result as ``payload`` (``None``
+    when it did not decode), so the body is decoded once.
 
     Unparseable bodies hash as raw bytes: they still route (to a
     stable, arbitrary shard) and come back as that shard's 400, so
@@ -83,22 +88,31 @@ def routing_key(body: bytes) -> str:
     True
     >>> routing_key(b'{"text": "abab", "alphabet": "abc"}') == a
     False
+    >>> routing_key(b"[" * 100000) == routing_key(b"[" * 100000, None)
+    True
     """
-    try:
-        payload = json.loads(body)
-        if not isinstance(payload, dict):
-            raise ValueError("not an object")
-    except ValueError:
-        return hashlib.sha256(b"raw:" + body).hexdigest()
-    fields = {
-        name: payload[name]
-        for name in _KEY_FIELDS
-        if payload.get(name) is not None
-    }
-    canonical = json.dumps(
-        fields, sort_keys=True, separators=(",", ":"), default=str
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    if payload is _UNDECODED:
+        try:
+            payload = json.loads(body)
+        except (ValueError, RecursionError):
+            payload = None
+    if isinstance(payload, dict):
+        fields = {
+            name: payload[name]
+            for name in _KEY_FIELDS
+            if payload.get(name) is not None
+        }
+        try:
+            canonical = json.dumps(
+                fields, sort_keys=True, separators=(",", ":"), default=str
+            )
+        except RecursionError:
+            # A key field nested about as deep as the recursion limit:
+            # decoded a frame shallower than this, it need not encode.
+            pass
+        else:
+            return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(b"raw:" + body).hexdigest()
 
 
 def _point(label: str) -> int:

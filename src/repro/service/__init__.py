@@ -21,7 +21,10 @@ while keeping every per-invocation cost warm across requests.
   Monte-Carlo trials.
 * :mod:`repro.service.protocol` -- the request schema
   (:class:`MineRequest`, :func:`parse_mine_request`) and the minimal
-  HTTP framing.
+  HTTP framing: one message reader for requests and responses.
+* :mod:`repro.service.frontdoor` -- the HTTP lifecycle (connection
+  loop, endpoint table, drain, request counts) that
+  :class:`MiningService` and the router's ``RouterService`` share.
 * :mod:`repro.service.client` -- :class:`ServiceClient`, the blocking
   stdlib client.
 

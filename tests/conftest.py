@@ -15,7 +15,7 @@ hypothesis.settings.register_profile(
     suppress_health_check=[hypothesis.HealthCheck.too_slow],
 )
 hypothesis.settings.load_profile("repro")
-# CI's larger budget for the kernel fuzz
+# CI's larger budget for the kernel and HTTP reader fuzz
 # (``--hypothesis-profile=repro-fuzz``).
 hypothesis.settings.register_profile(
     "repro-fuzz", parent=hypothesis.settings.get_profile("repro"),
