@@ -6,12 +6,11 @@ executor actually buys on one synthetic corpus and emits
 machine-readable ``results/BENCH_engine.json`` alongside the usual text
 table.  Two executor families appear as rows:
 
-* ``serial`` / ``serial-batch*`` -- ``ThreadExecutor(1)``, the
-  in-process baseline, and the corpus-batched kernel path
-  (``batch_docs``: one ``mine_batch`` call per chunk of documents), the
-  serial amortisation win tracked across PRs.  On native kernels both
-  run the lane walker on the calling thread (four scans in flight;
-  ``batch_docs`` does not apply there), so they read alike;
+* ``serial`` -- ``ThreadExecutor(1)``, the in-process baseline.  On
+  native kernels it runs the lane walker on the calling thread (four
+  scans in flight); on numpy and python it makes one ``mine_batch``
+  call per window of 32 documents, the serial amortisation win tracked
+  across PRs;
 * ``workers-thread*`` -- the thread tier
   (:class:`repro.engine.ThreadExecutor`): a persistent thread pool
   whose threads all run the lane walker over one shared claim cursor.
@@ -30,14 +29,13 @@ Honest measurement notes:
 * Every row therefore times the *mine* phase only (``mine_seconds``),
   with identical warm-cache conditions across executors.
 * The per-document results are byte-identical across executors **and
-  across the batched kernel path** (tested in ``tests/engine``); only
+  to per-document** ``run_job`` (tested in ``tests/engine``); only
   throughput varies.
 * Speedup is bounded by physical cores.  On a single-core container
   every multi-worker row only shows dispatch overhead -- the JSON
   records ``cpu_count`` so downstream tooling can judge the numbers
-  fairly; the ``workers-thread*`` acceptance target (>= 1.5x serial,
-  and above the best serial-batch row) applies on hosts with >= 2
-  cores.
+  fairly; the ``workers-thread*`` acceptance target (>= 1.5x serial)
+  applies on hosts with >= 2 cores.
 * ``backend`` records which kernel backend was selected (see
   :mod:`repro.kernels`; override with ``REPRO_BACKEND``) and
   ``backend_resolved`` the one that actually mined -- ``numpy`` when
@@ -70,13 +68,11 @@ from repro.kernels import get_backend
 DOCS = 96
 DOC_LENGTH = 1500
 THREAD_COUNTS = [2, 4]
-BATCH_SIZES = [32, DOCS]
 CALIBRATION_TRIALS = 50
 
 SMOKE_DOCS = 32
 SMOKE_DOC_LENGTH = 500
 SMOKE_TRIALS = 15
-SMOKE_BATCH_DOCS = 8
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
@@ -96,7 +92,6 @@ def run_scaling(smoke=False, threads=None, backend=None):
     docs = SMOKE_DOCS if smoke else DOCS
     doc_length = SMOKE_DOC_LENGTH if smoke else DOC_LENGTH
     trials = SMOKE_TRIALS if smoke else CALIBRATION_TRIALS
-    batch_sizes = [SMOKE_BATCH_DOCS] if smoke else BATCH_SIZES
     if threads is None:
         threads = THREAD_COUNTS
     model = BernoulliModel.uniform("ab")
@@ -117,9 +112,9 @@ def run_scaling(smoke=False, threads=None, backend=None):
     resolved = getattr(kernel, "resolved_name", kernel.name)
     rows = []
 
-    def measure(label, executor, batch_docs=None):
+    def measure(label, executor):
         with CorpusEngine(executor=executor, calibration=cache,
-                          correction="bh", batch_docs=batch_docs) as engine:
+                          correction="bh") as engine:
             started = time.perf_counter()
             result = engine.run_texts(corpus, model, spec)
             mine_seconds = time.perf_counter() - started
@@ -127,7 +122,6 @@ def run_scaling(smoke=False, threads=None, backend=None):
             "mode": label,
             "workers": executor.workers,
             "threads": executor.threads(backend),
-            "batch_docs": batch_docs,
             "mine_seconds": mine_seconds,
             "docs_per_sec": docs / mine_seconds,
             "significant": result.n_significant,
@@ -136,25 +130,13 @@ def run_scaling(smoke=False, threads=None, backend=None):
         })
 
     measure("serial", ThreadExecutor(1))
-    # The batched kernel path: same serial executor, chunk-of-documents
-    # kernel calls.  Identical results; this is the per-PR trajectory row.
-    for batch_docs in batch_sizes:
-        measure(f"serial-batch{batch_docs}", ThreadExecutor(1),
-                batch_docs=batch_docs)
     # The thread tier: every pool thread's lanes claim from one cursor.
     for workers in threads:
         measure(f"workers-thread{workers}", ThreadExecutor(workers))
 
     serial_rate = rows[0]["docs_per_sec"]
-    best_serial_batch = max(
-        row["docs_per_sec"] for row in rows
-        if row["mode"].startswith("serial-batch")
-    )
     for row in rows:
         row["speedup_vs_serial"] = row["docs_per_sec"] / serial_rate
-        row["speedup_vs_serial_batch"] = (
-            row["docs_per_sec"] / best_serial_batch
-        )
     meta = {
         "docs": docs,
         "doc_length": doc_length,
@@ -176,9 +158,9 @@ def emit_json(calibrate_seconds, rows, meta):
         "phases": {
             "calibrate_seconds": calibrate_seconds,
             "note": "calibration cache pre-warmed once; every mode row "
-                    "times the mine phase only; serial-batch* rows pass "
-                    "batch_docs (the corpus-batched kernel path on numpy; "
-                    "native runs the lane walker either way); "
+                    "times the mine phase only; the serial row mines on "
+                    "the calling thread (the lane walker on native, one "
+                    "mine_batch call per 32 documents otherwise); "
                     "workers-thread* rows mine on the lane walker of "
                     "every thread of a persistent pool ('threads' is how "
                     "many actually mined: one unless the backend "
@@ -199,15 +181,13 @@ def _render(calibrate_seconds, rows, meta, emit):
          f"{', smoke' if meta['smoke'] else ''}):")
     emit(f"calibrate phase (pre-warmed, shared): {calibrate_seconds:.3f}s "
          f"({meta['calibration_trials']} trials)")
-    header = (f"{'mode':>15}  {'threads':>7}  {'batch':>5}  {'mine s':>8}  "
+    header = (f"{'mode':>15}  {'threads':>7}  {'mine s':>8}  "
               f"{'docs/sec':>9}  {'speedup':>8}")
     emit(header)
     emit("-" * len(header))
     for row in rows:
-        batch = row.get("batch_docs")
         emit(
             f"{row['mode']:>15}  {row['threads']:>7}  "
-            f"{'-' if batch is None else batch:>5}  "
             f"{row['mine_seconds']:>8.3f}"
             f"  {row['docs_per_sec']:>9.1f}  {row['speedup_vs_serial']:>7.2f}x"
         )
@@ -230,15 +210,10 @@ def test_engine_scaling(benchmark, reporter):
     assert calibrate_seconds > 0
     if (os.cpu_count() or 1) >= 2:
         # With real cores behind the threads, the thread rows must beat
-        # both plain serial (by a wide margin) and the best serial-batch
-        # row -- the "make --workers actually win" gate.
+        # serial by a wide margin -- the "make --workers actually win"
+        # gate.
         best_thread = max(row["docs_per_sec"] for row in thread_rows)
-        best_serial_batch = max(
-            row["docs_per_sec"] for row in rows
-            if row["mode"].startswith("serial-batch")
-        )
         assert best_thread >= 1.5 * rows[0]["docs_per_sec"]
-        assert best_thread > best_serial_batch
 
 
 def main(argv=None):

@@ -6,17 +6,16 @@ tickers.  This example runs that workload through the corpus engine:
 
 1. build 40 synthetic "sessions" under one shared null model, three of
    them carrying planted bursts,
-2. mine all of them in one ``CorpusEngine.run_texts`` call -- through
-   the *batched* kernel path (``batch_docs``): on the numpy kernels
-   each chunk of sessions becomes a single ``mine_batch`` wavefront
-   instead of one scan per session (the CLI equivalent is
-   ``repro-mss batch --batch-docs``); the default native kernels mine
-   several sessions on the lane walker whatever ``batch_docs`` says,
+2. mine all of them in one ``CorpusEngine.run_texts`` call (the CLI
+   equivalent is ``repro-mss batch``): the default native kernels mine
+   several sessions at once on the lane walker of every usable CPU, and
+   the numpy fallback makes one ``mine_batch`` wavefront per window of
+   sessions instead of one scan per session,
 3. replace each session's asymptotic p-value with a Monte-Carlo
    family-wise p-value (one cached simulation for the whole corpus),
 4. apply Benjamini-Hochberg correction across sessions and report the
-   survivors -- after checking the batched results are identical to the
-   per-document path, just faster.
+   survivors -- after checking the engine's scans are identical to one
+   ``run_job`` scan per session.
 
 Run:  python examples/corpus_batch.py
 """
@@ -24,6 +23,7 @@ Run:  python examples/corpus_batch.py
 import time
 
 from repro import BernoulliModel, CalibrationCache, CorpusEngine
+from repro.engine import JobSpec, MiningJob, run_job
 from repro.generators import PlantedSegment, generate_with_planted
 
 SESSIONS = 30
@@ -56,6 +56,14 @@ def build_corpus(model: BernoulliModel) -> list[str]:
     return texts
 
 
+def scan(doc) -> dict:
+    """A document's mining outcome, without its p-values."""
+    data = doc.payload(include_timing=False)
+    for key in ("p_value", "p_value_kind", "p_corrected", "significant"):
+        del data[key]
+    return data
+
+
 def main() -> None:
     model = BernoulliModel.uniform("ab")
     corpus = build_corpus(model)
@@ -66,28 +74,30 @@ def main() -> None:
     # up front so the timing comparison below measures mining only.
     calibration = CalibrationCache(trials=TRIALS, seed=123)
     calibration.distribution_for(model, LENGTH)
-    engine = CorpusEngine(
-        calibration=calibration, correction="bh", alpha=0.05, batch_docs=10
-    )
+    engine = CorpusEngine(calibration=calibration, correction="bh", alpha=0.05)
     started = time.perf_counter()
     report = engine.run_texts(corpus, model, ids=ids)
-    batched_seconds = time.perf_counter() - started
+    engine_seconds = time.perf_counter() - started
 
-    # Same engine, batch size 1: one kernel call per document -- the
-    # dispatch cost the batched path amortises.  Identical verdicts;
-    # batch_docs is a pure throughput knob.
+    # The per-document reference: one scan per session.  The engine's
+    # substrings and work counters must match it exactly; only the
+    # p-values differ, calibrated and corrected across the corpus.
+    jobs = [
+        MiningJob(doc_id, text, JobSpec(), model)
+        for doc_id, text in zip(ids, corpus)
+    ]
     started = time.perf_counter()
-    per_doc = engine.run_texts(corpus, model, ids=ids, batch_docs=1)
+    per_doc = [run_job(job) for job in jobs]
     per_doc_seconds = time.perf_counter() - started
-    assert [d.payload(include_timing=False) for d in report.documents] == [
-        d.payload(include_timing=False) for d in per_doc.documents
-    ], "batched and per-document mining must agree exactly"
+    assert [scan(d) for d in report.documents] == [
+        scan(d) for d in per_doc
+    ], "the engine and per-document mining must agree exactly"
 
     print(f"=== Corpus verdict ({SESSIONS} sessions, BH at alpha=0.05) ===")
     print(
-        f"mining       batch_docs=10 {batched_seconds * 1e3:.0f} ms"
-        f" vs one kernel call per document {per_doc_seconds * 1e3:.0f} ms"
-        f" -- identical results"
+        f"mining       engine {engine_seconds * 1e3:.0f} ms (calibrated)"
+        f" vs one scan per document {per_doc_seconds * 1e3:.0f} ms"
+        f" -- identical scans"
     )
     print(
         f"scan work    {report.stats.substrings_evaluated} substrings evaluated "

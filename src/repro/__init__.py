@@ -28,9 +28,9 @@ their own subpackages:
 * :mod:`repro.datasets` -- synthetic sports-rivalry and securities data.
 * :mod:`repro.strings` -- suffix tree, suffix automaton, run-length blocks.
 * :mod:`repro.extensions` -- 2-D grids, Markov nulls, windows, graphs.
-* :mod:`repro.engine` -- parallel corpus mining with batched kernel
-  dispatch (``batch_docs``), cached calibration and multiple-testing
-  correction (:class:`CorpusEngine`).
+* :mod:`repro.engine` -- parallel corpus mining (many documents per
+  kernel call, on every usable CPU), cached calibration and
+  multiple-testing correction (:class:`CorpusEngine`).
 * :mod:`repro.service` -- the async mining service over the engine
   (``repro-mss serve``): request micro-batching, a persistent
   mining thread pool, deterministic backpressure, and a
@@ -67,7 +67,7 @@ __version__ = "1.1.0"
 
 # The corpus engine is re-exported lazily (PEP 562): it pulls in
 # concurrent.futures and the calibration machinery, which single-string
-# entry points (and the non-batch CLI) should not pay for at import time.
+# entry points should not pay for at import time.
 _ENGINE_EXPORTS = frozenset(
     {
         "CorpusEngine",

@@ -51,6 +51,7 @@ from repro.core.mss import find_mss
 from repro.core.results import SignificantSubstring
 from repro.core.threshold import find_above_threshold
 from repro.core.topt import find_top_t
+from repro.service.batcher import DEFAULT_BATCH_DOCS
 
 __all__ = ["main", "build_parser"]
 
@@ -169,7 +170,7 @@ _SERVICE_FLAGS = (
              "thread; a numpy or python backend mines on one thread)",
     ), True, _at_least(1)),
     ("--batch-docs", dict(
-        type=int, default=32, metavar="N",
+        type=int, default=DEFAULT_BATCH_DOCS, metavar="N",
         help="micro-batch target: concurrent requests coalesce into "
              "batches of up to N documents",
     ), True, _at_least(1)),
@@ -380,14 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "kernels, each running four scans in flight "
                             "(default: one per usable CPU; 1 = the calling "
                             "thread; other backends mine on one thread)")
-    batch.add_argument(
-        "--batch-docs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="mine documents N at a time through one kernel call per batch "
-             "(identical results; amortises per-document dispatch)",
-    )
     batch.add_argument(
         "--correction",
         choices=["none", "bonferroni", "bh"],
@@ -640,8 +633,6 @@ def _run_batch(args: argparse.Namespace) -> int:
         raise SystemExit("corpus is empty")
     if args.workers is not None and args.workers < 1:
         raise SystemExit("--workers must be >= 1")
-    if args.batch_docs is not None and args.batch_docs < 1:
-        raise SystemExit("--batch-docs must be >= 1")
     if args.calibrate and args.trials < 10:
         raise SystemExit("--trials must be >= 10 for a usable Monte-Carlo "
                          "null distribution")
@@ -672,7 +663,6 @@ def _run_batch(args: argparse.Namespace) -> int:
         ),
         correction=args.correction,
         alpha=args.alpha,
-        batch_docs=args.batch_docs,
     )
     with engine:
         result = engine.run_texts(texts, model, spec, ids=ids)

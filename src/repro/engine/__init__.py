@@ -8,17 +8,19 @@ once.  This subsystem is that layer:
 
 * :mod:`repro.engine.jobs` -- :class:`JobSpec` / :class:`MiningJob`
   pair any of the four paper problems with a document and a shared
-  :class:`~repro.core.model.BernoulliModel`; :func:`run_job` is the
-  picklable per-document unit of work and :func:`run_job_batch` the
-  batched one (a chunk of documents through a single kernel
-  ``mine_batch`` call -- see ``CorpusEngine(batch_docs=...)``).
+  :class:`~repro.core.model.BernoulliModel`; :func:`run_job_batch`
+  mines a window of documents through one kernel ``mine_batch`` call
+  per (spec, model) group, and :func:`run_job` is the per-document
+  reference it equals.
 * :mod:`repro.engine.executors` -- how a job list is mined:
   :class:`ThreadExecutor`, a persistent thread pool.  On the GIL-free
   native kernels each thread runs the C lane walker, which keeps four
   mss/minlength scans in flight and claims the next document, longest
   first, from a cursor every thread shares (top-t and threshold claim
   one document per scan); ``ThreadExecutor(1)`` runs the lanes on the
-  calling thread.  Every other backend mines on the calling thread.
+  calling thread.  Every other backend, and a single document, mines
+  on the calling thread through :func:`run_job_batch`, 32 documents per
+  call.
   It is order-preserving and each lane runs the single-document scan's
   exact operations, so results are identical at any thread count.
   ``CorpusEngine()`` and ``repro-mss batch`` default to one thread per

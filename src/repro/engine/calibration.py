@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 import time
 from typing import Iterator
@@ -56,39 +55,7 @@ _MIN_BUCKET = 64
 #: silently reused.
 SCHEMA_VERSION = 1
 
-#: Magic string identifying our persisted-calibration JSON files.
-_FORMAT = "repro-mss-calibration"
-
 _LOG = get_logger("repro.engine.calibration")
-
-
-def _fingerprint_from_values(alphabet, probabilities, trials, seed) -> str:
-    """The fingerprint hash over raw (alphabet, probabilities) values.
-
-    Shared by :func:`model_fingerprint` (live models) and
-    :meth:`CalibrationCache.load` (values straight from a persisted
-    file).  Hashing raw values on both sides is what makes the
-    round-trip exact: reconstructing a ``BernoulliModel`` from saved
-    probabilities would *re-normalise* them (a 1-ulp shift for most
-    alphabets) and change the hash.
-    """
-    alphabet = list(alphabet)
-    if not all(isinstance(symbol, str) for symbol in alphabet):
-        raise TypeError(
-            "calibration persistence requires string symbols; got "
-            f"alphabet {alphabet!r}"
-        )
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "alphabet": alphabet,
-        # json.dumps renders floats with repr (shortest round-trip), so
-        # the fingerprint is exact, not approximate.
-        "probabilities": [float(p) for p in probabilities],
-        "trials": trials,
-        "seed": seed,
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def model_fingerprint(model: BernoulliModel, trials: int, seed: int) -> str:
@@ -111,9 +78,23 @@ def model_fingerprint(model: BernoulliModel, trials: int, seed: int) -> str:
     >>> model_fingerprint(model, 100, 0) == model_fingerprint(model, 200, 0)
     False
     """
-    return _fingerprint_from_values(
-        model.alphabet, model.probabilities, trials, seed
-    )
+    alphabet = list(model.alphabet)
+    if not all(isinstance(symbol, str) for symbol in alphabet):
+        raise TypeError(
+            "calibration persistence requires string symbols; got "
+            f"alphabet {alphabet!r}"
+        )
+    payload = {
+        "schema": SCHEMA_VERSION,
+        "alphabet": alphabet,
+        # json.dumps renders floats with repr (shortest round-trip), so
+        # the fingerprint is exact, not approximate.
+        "probabilities": [float(p) for p in model.probabilities],
+        "trials": trials,
+        "seed": seed,
+    }
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def length_bucket(n: int, minimum: int = _MIN_BUCKET) -> int:
@@ -194,13 +175,6 @@ class CalibrationCache:
         #: Distributions dropped by the LRU bound (0 while unbounded).
         self.evictions = 0
         self._distributions: dict[tuple[BernoulliModel, int], MSSNullDistribution] = {}
-        #: Entries merged by :meth:`load`, keyed by ``(fingerprint,
-        #: bucket)``.  Kept separate from ``_distributions`` on purpose:
-        #: reconstructing a ``BernoulliModel`` from persisted floats
-        #: would re-normalise them and break hash-equality with the live
-        #: model, so loaded samples are matched by fingerprint at lookup
-        #: time instead and promoted under the live model's key.
-        self._loaded: dict[tuple[str, int], MSSNullDistribution] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -276,12 +250,6 @@ class CalibrationCache:
         if cached is not None:
             self._event("memory_hit")
             return cached
-        loaded = self._loaded_entry(model, bucket)
-        if loaded is not None:
-            self._event("loaded_hit")
-            with self._lock:
-                self.hits += 1
-                return self._cache_store(key, loaded)
         # Simulate outside the lock: concurrent misses on the same key may
         # duplicate work but stay correct (the simulation is deterministic
         # per key, so whichever insert wins stores the identical result).
@@ -302,22 +270,6 @@ class CalibrationCache:
         with self._lock:
             self.misses += 1
             return self._cache_store(key, distribution)
-
-    def _loaded_entry(self, model, bucket) -> MSSNullDistribution | None:
-        """A :meth:`load`-ed distribution for this exact configuration.
-
-        Matched by the *live* model's fingerprint, so only a model whose
-        alphabet and probabilities are bit-identical to the saved ones
-        (plus matching trials/seed) ever reuses persisted samples.
-        """
-        if not self._loaded:
-            return None
-        try:
-            fingerprint = model_fingerprint(model, self.trials, self.seed)
-        except TypeError:
-            return None  # non-string symbols are never persisted
-        with self._lock:
-            return self._loaded.get((fingerprint, bucket))
 
     def _simulate(
         self, model: BernoulliModel, bucket: int, *, executor=None
@@ -349,111 +301,6 @@ class CalibrationCache:
     def _key_seed(self, bucket: int) -> int:
         """Deterministic per-bucket seed, independent of request order."""
         return (self.seed * 1_000_003 + bucket) % (2**32)
-
-    def save(self, path: str | os.PathLike) -> int:
-        """Persist every simulated distribution to ``path`` (JSON).
-
-        The file carries a schema version plus a per-entry
-        :func:`model_fingerprint`, so a later :meth:`load` can verify
-        the samples were produced by *exactly* this configuration
-        (alphabet, probabilities, trials, seed) before reusing them.
-        The write is atomic (temp file + ``os.replace``).  Returns the
-        number of entries written; models over non-string symbols cannot
-        be serialised and raise ``TypeError``.
-        """
-        with self._lock:
-            items = list(self._distributions.items())
-        entries = []
-        for (model, bucket), distribution in items:
-            entries.append({
-                "fingerprint": model_fingerprint(model, self.trials, self.seed),
-                "alphabet": list(model.alphabet),
-                "probabilities": list(model.probabilities),
-                "bucket": bucket,
-                "samples": list(distribution.samples),
-            })
-        entries.sort(key=lambda entry: (entry["fingerprint"], entry["bucket"]))
-        data = {
-            "format": _FORMAT,
-            "schema": SCHEMA_VERSION,
-            "trials": self.trials,
-            "seed": self.seed,
-            "entries": entries,
-        }
-        path = os.fspath(path)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(data, handle)
-        os.replace(tmp, path)
-        return len(entries)
-
-    def load(self, path: str | os.PathLike) -> int:
-        """Merge distributions persisted by :meth:`save` into the cache.
-
-        Every safety property is checked before a single sample is
-        reused, and any mismatch raises ``ValueError`` instead of
-        silently serving samples from a different configuration:
-
-        * file format marker and :data:`SCHEMA_VERSION` must match;
-        * the file's ``trials`` / ``seed`` must equal this cache's;
-        * each entry's stored fingerprint must equal the fingerprint
-          recomputed from the entry's own raw model parameters and this
-          cache's ``trials``/``seed`` (detects tampering and parameter
-          drift);
-        * each entry must carry exactly ``trials`` samples.
-
-        Loaded entries are matched at lookup time by the live model's
-        fingerprint (see :meth:`_loaded_entry`) and count as hits when
-        used; simulation only runs when nothing matches.  Returns the
-        number of entries merged.
-        """
-        with open(os.fspath(path), encoding="utf-8") as handle:
-            data = json.load(handle)
-        if not isinstance(data, dict) or data.get("format") != _FORMAT:
-            raise ValueError(f"{path!s} is not a persisted calibration cache")
-        if data.get("schema") != SCHEMA_VERSION:
-            raise ValueError(
-                f"{path!s} has schema {data.get('schema')!r}; this version "
-                f"reads schema {SCHEMA_VERSION} only"
-            )
-        if data.get("trials") != self.trials or data.get("seed") != self.seed:
-            raise ValueError(
-                f"{path!s} was simulated with trials={data.get('trials')!r}, "
-                f"seed={data.get('seed')!r}; this cache is configured with "
-                f"trials={self.trials}, seed={self.seed} -- refusing to reuse "
-                f"samples from a different configuration"
-            )
-        loaded = 0
-        for entry in data.get("entries", []):
-            bucket = int(entry["bucket"])
-            # Verify integrity against the entry's own raw values --
-            # never through a reconstructed BernoulliModel, whose
-            # re-normalisation would shift the floats by an ulp and
-            # reject legitimately saved files.
-            expected = _fingerprint_from_values(
-                entry["alphabet"], entry["probabilities"],
-                self.trials, self.seed,
-            )
-            if entry.get("fingerprint") != expected:
-                raise ValueError(
-                    f"{path!s}: entry for bucket {bucket} "
-                    f"(k={len(entry['alphabet'])}) has fingerprint "
-                    f"{entry.get('fingerprint')!r}, expected {expected!r} -- "
-                    f"model parameters do not match the stored samples"
-                )
-            samples = tuple(float(value) for value in entry["samples"])
-            if len(samples) != self.trials:
-                raise ValueError(
-                    f"{path!s}: entry for bucket {bucket} has {len(samples)} "
-                    f"samples, expected {self.trials}"
-                )
-            distribution = MSSNullDistribution(
-                n=bucket, alphabet_size=len(entry["alphabet"]), samples=samples
-            )
-            with self._lock:
-                self._loaded.setdefault((expected, bucket), distribution)
-            loaded += 1
-        return loaded
 
     def summary(self) -> dict:
         """JSON-ready view of what was simulated (for CLI/bench output)."""

@@ -46,20 +46,6 @@ from repro.obs.metrics import MetricsRegistry, default_registry
 __all__ = ["CorpusEngine", "CorpusResult"]
 
 
-def _validate_batch_docs(batch_docs: int | None) -> int | None:
-    if batch_docs is None:
-        return None
-    if (
-        not isinstance(batch_docs, int)
-        or isinstance(batch_docs, bool)
-        or batch_docs < 1
-    ):
-        raise ValueError(
-            f"batch_docs must be a positive int or None, got {batch_docs!r}"
-        )
-    return batch_docs
-
-
 @dataclass
 class CorpusResult:
     """Everything a corpus run produced.
@@ -76,7 +62,6 @@ class CorpusResult:
     calibrated: bool
     executor: str = "thread"
     workers: int = 1
-    batch_docs: int | None = None
     elapsed_seconds: float = 0.0
     calibration_summary: dict | None = field(default=None, repr=False)
 
@@ -116,7 +101,6 @@ class CorpusResult:
             "significant": self.n_significant,
             "executor": self.executor,
             "workers": self.workers,
-            "batch_docs": self.batch_docs,
             "results": [
                 doc.payload(include_timing=include_timing)
                 for doc in self.documents
@@ -144,14 +128,16 @@ class CorpusEngine:
     ----------
     executor:
         A :class:`~repro.engine.executors.ThreadExecutor`, or any object
-        with its ``run_jobs(jobs, *, batch_docs)``, ``threads(backend)``
-        and ``map(fn, items)``.  Defaults to ``ThreadExecutor()``: one
+        with its ``run_jobs(jobs)``, ``threads(backend)`` and
+        ``map(fn, items)``.  Defaults to ``ThreadExecutor()``: one
         thread per usable CPU on native kernels, which mine the
         documents and score cold calibrations on the same pool.  Each
         thread runs the C lane walker, four mss/minlength scans (or
         calibration trials) in flight, claimed from a cursor all the
         threads share.  ``ThreadExecutor(1)`` runs the lanes on the
-        calling thread and never starts a pool.
+        calling thread and never starts a pool.  Every other run --
+        numpy, python, or a single document -- mines on the calling
+        thread, one kernel ``mine_batch`` call per window of documents.
     calibration:
         A :class:`CalibrationCache` to turn each document's X²max into a
         Monte-Carlo family-wise p-value.  ``None`` keeps the asymptotic
@@ -162,17 +148,6 @@ class CorpusEngine:
         or ``"none"``.
     alpha:
         Default corpus-level significance level.
-    batch_docs:
-        When set, documents are mined ``batch_docs`` at a time through
-        one kernel ``mine_batch`` call per batch
-        (:func:`~repro.engine.jobs.run_job_batch`) instead of one call
-        per document.  Results are identical either way (enforced by the
-        engine tests); per-document kernel dispatch is amortised, which
-        is a large win for the numpy kernels on corpora of small
-        documents (see ``benchmarks/bench_engine_scaling.py``).
-        ``None`` (default) keeps per-document dispatch.  Native runs of
-        several documents ignore it: every thread's lanes claim the
-        documents of a (spec, model) group one by one, longest first.
     metrics:
         The :class:`~repro.obs.metrics.MetricsRegistry` mine/finalize
         timings, document counts and X² evaluation counts are reported
@@ -200,7 +175,6 @@ class CorpusEngine:
         calibration: CalibrationCache | None = None,
         correction: str = "bh",
         alpha: float = 0.05,
-        batch_docs: int | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if correction not in CORRECTIONS:
@@ -213,7 +187,6 @@ class CorpusEngine:
         self.calibration = calibration
         self.correction = correction
         self.alpha = alpha
-        self.batch_docs = _validate_batch_docs(batch_docs)
         self.metrics = metrics if metrics is not None else default_registry()
 
     def run(
@@ -222,13 +195,11 @@ class CorpusEngine:
         *,
         correction: str | None = None,
         alpha: float | None = None,
-        batch_docs: int | None = None,
     ) -> CorpusResult:
         """Mine every job; correct p-values across the corpus.
 
-        Results come back in job order regardless of executor (and of
-        ``batch_docs``).  Per-call ``correction``/``alpha``/
-        ``batch_docs`` override the engine defaults.
+        Results come back in job order regardless of executor.  Per-call
+        ``correction``/``alpha`` override the engine defaults.
 
         ``run`` is :meth:`mine_documents` followed by :meth:`finalize`;
         callers that need to mine several request's jobs through one
@@ -237,18 +208,10 @@ class CorpusEngine:
         """
         job_list = list(jobs)
         correction, alpha = self._resolve_correction(correction, alpha)
-        batch_docs = (
-            self.batch_docs if batch_docs is None
-            else _validate_batch_docs(batch_docs)
-        )
         started = time.perf_counter()
-        documents = self.mine_documents(job_list, batch_docs=batch_docs)
+        documents = self.mine_documents(job_list)
         result = self.finalize(
-            job_list,
-            documents,
-            correction=correction,
-            alpha=alpha,
-            batch_docs=batch_docs,
+            job_list, documents, correction=correction, alpha=alpha
         )
         # Stamp after finalize so calibration (potentially a cold
         # Monte-Carlo simulation) stays inside the reported wall time,
@@ -256,12 +219,7 @@ class CorpusEngine:
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
-    def mine_documents(
-        self,
-        jobs: Sequence[MiningJob],
-        *,
-        batch_docs: int | None = None,
-    ) -> list[DocumentResult]:
+    def mine_documents(self, jobs: Sequence[MiningJob]) -> list[DocumentResult]:
         """The dispatch half of :meth:`run`: mine only, no corrections.
 
         Returns per-document results in job order with *asymptotic*
@@ -276,15 +234,9 @@ class CorpusEngine:
         job_list = list(jobs)
         if not job_list:
             raise ValueError("no jobs to run")
-        batch_docs = (
-            self.batch_docs if batch_docs is None
-            else _validate_batch_docs(batch_docs)
-        )
         started = time.perf_counter()
         try:
-            documents = self.executor.run_jobs(
-                job_list, batch_docs=batch_docs
-            )
+            documents = self.executor.run_jobs(job_list)
         finally:
             self.metrics.histogram(
                 "repro_engine_mine_seconds",
@@ -329,7 +281,6 @@ class CorpusEngine:
         *,
         correction: str | None = None,
         alpha: float | None = None,
-        batch_docs: int | None = None,
         elapsed: float = 0.0,
     ) -> CorpusResult:
         """The significance half of :meth:`run`: calibrate and correct.
@@ -375,7 +326,6 @@ class CorpusEngine:
             calibrated=self.calibration is not None,
             executor=getattr(self.executor, "name", type(self.executor).__name__),
             workers=getattr(self.executor, "workers", 1),
-            batch_docs=batch_docs,
             elapsed_seconds=elapsed,
             calibration_summary=(
                 self.calibration.summary() if self.calibration is not None else None
@@ -431,7 +381,6 @@ class CorpusEngine:
         ids: Sequence[str] | None = None,
         correction: str | None = None,
         alpha: float | None = None,
-        batch_docs: int | None = None,
     ) -> CorpusResult:
         """Convenience wrapper: one shared model + spec over raw texts.
 
@@ -448,14 +397,11 @@ class CorpusEngine:
             MiningJob(doc_id, text, spec, model)
             for doc_id, text in zip(ids, texts)
         ]
-        return self.run(
-            jobs, correction=correction, alpha=alpha, batch_docs=batch_docs
-        )
+        return self.run(jobs, correction=correction, alpha=alpha)
 
     def __repr__(self) -> str:
         return (
             f"CorpusEngine(executor={self.executor!r}, "
             f"calibration={self.calibration!r}, "
-            f"correction={self.correction!r}, alpha={self.alpha}, "
-            f"batch_docs={self.batch_docs})"
+            f"correction={self.correction!r}, alpha={self.alpha})"
         )

@@ -1,7 +1,7 @@
 """The executor: how the corpus engine mines a job list.
 
 :class:`ThreadExecutor` honours one contract,
-``run_jobs(jobs, batch_docs=...)`` returning one
+``run_jobs(jobs)`` returning one
 :class:`~repro.engine.jobs.DocumentResult` per job.  A run of several
 documents on the compiled ``native`` kernels goes to the lane walker:
 each of the executor's threads makes one ``mine_batch`` call per
@@ -18,10 +18,11 @@ threads mine in parallel inside one process.
 ``ThreadExecutor(1)`` runs the same lanes on the calling thread and
 never starts a pool.  Jobs on any other backend (numpy, python, or
 ``native`` fallen back to numpy on a host without a compiler) hold the
-GIL, so the executor mines those on the calling thread, ``batch_docs``
-documents per kernel call, as it does a single document.  With no
-argument the executor takes one thread per usable CPU (its affinity
-mask where the OS has one).
+GIL, so the executor mines those, and a single document on any
+backend, on the calling thread: one ``mine_batch`` call per (spec,
+model) group for each window of :data:`_SERIAL_WINDOW_DOCS` documents.
+With no argument the executor takes one thread per usable CPU (its
+affinity mask where the OS has one).
 
 Results keep job order and the lanes return every document's
 single-scan bits, so they are identical to serial whatever the thread
@@ -53,7 +54,6 @@ from repro.engine.jobs import (
     MiningJob,
     _document_from_scan,
     _index_groups,
-    run_job,
     run_job_batch,
 )
 from repro.kernels import get_backend, resolved_backend_name
@@ -66,6 +66,14 @@ __all__ = ["ThreadExecutor"]
 #: in windows of ``workers * _WINDOW_DOCS``, so the prefix matrices held
 #: at once (8 (k + 1) bytes per symbol) cover one window, not the run.
 _WINDOW_DOCS = 16
+
+#: Documents per :func:`~repro.engine.jobs.run_job_batch` call on the
+#: calling thread (numpy, python, a native single document, or native
+#: fallen back).  One call per window amortises kernel dispatch -- the
+#: numpy wavefront mines a window 1.3-2.4x faster than one document at a
+#: time -- and the window bounds how much of a long run's wavefront is
+#: held at once.
+_SERIAL_WINDOW_DOCS = 32
 
 
 def _usable_cpus() -> int:
@@ -86,24 +94,15 @@ def _check_deadline(deadline, unmined: int) -> None:
         )
 
 
-def _mine_serially(
-    jobs: Sequence[MiningJob], batch_docs: int | None, deadline
-) -> list[DocumentResult]:
-    """Mine ``jobs`` on the calling thread, in order.
-
-    ``batch_docs`` documents go through one kernel ``mine_batch`` call
-    (:func:`~repro.engine.jobs.run_job_batch`); ``None`` mines one
-    document per call (:func:`~repro.engine.jobs.run_job`).  An expired
-    ``deadline`` stops the run before its next call.
-    """
-    size = batch_docs or 1
+def _mine_serially(jobs: Sequence[MiningJob], deadline) -> list[DocumentResult]:
+    """Mine ``jobs`` on the calling thread, in order, one
+    :func:`~repro.engine.jobs.run_job_batch` call per window of
+    :data:`_SERIAL_WINDOW_DOCS` documents.  An expired ``deadline``
+    stops the run before its next window."""
     documents: list[DocumentResult] = []
-    for lo in range(0, len(jobs), size):
+    for lo in range(0, len(jobs), _SERIAL_WINDOW_DOCS):
         _check_deadline(deadline, len(jobs) - lo)
-        if batch_docs is None:
-            documents.append(run_job(jobs[lo]))
-        else:
-            documents.extend(run_job_batch(jobs[lo : lo + size]))
+        documents.extend(run_job_batch(jobs[lo : lo + _SERIAL_WINDOW_DOCS]))
     return documents
 
 
@@ -116,7 +115,7 @@ class ThreadExecutor:
     all resolve to ``native`` mines on the lane walker of every worker
     thread (:meth:`threads`); ``ThreadExecutor(1)`` runs those lanes on
     the calling thread.  Any other run mines on the calling thread in
-    ``batch_docs`` chunks.
+    windows of :data:`_SERIAL_WINDOW_DOCS` documents.
 
     >>> ThreadExecutor(workers=2).threads("python")
     1
@@ -167,14 +166,12 @@ class ThreadExecutor:
             return [fn(item) for item in items]
         return list(self._ensure_pool().map(fn, items))
 
-    def run_jobs(
-        self, jobs: Sequence[MiningJob], *, batch_docs: int | None = None
-    ) -> list[DocumentResult]:
+    def run_jobs(self, jobs: Sequence[MiningJob]) -> list[DocumentResult]:
         """Mine every job; results in job order, identical to serial.
 
         Several documents on native kernels run on the lanes of every
-        thread, ``workers * _WINDOW_DOCS`` at a time (``batch_docs``
-        does not apply); anything else mines on the calling thread.
+        thread, ``workers * _WINDOW_DOCS`` at a time; anything else
+        mines on the calling thread, ``_SERIAL_WINDOW_DOCS`` at a time.
         """
         deadline = active_deadline()
         backends = {job.spec.backend for job in jobs}
@@ -182,7 +179,7 @@ class ThreadExecutor:
             resolved_backend_name(backend) == "native" for backend in backends
         ):
             return self._mine_lanes(jobs, deadline)
-        return _mine_serially(jobs, batch_docs, deadline)
+        return _mine_serially(jobs, deadline)
 
     def _mine_lanes(self, jobs, deadline) -> list[DocumentResult]:
         """Mine native jobs on the lanes, one window of jobs at a time."""

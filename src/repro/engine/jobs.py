@@ -4,8 +4,9 @@ The corpus engine decomposes a workload into :class:`MiningJob` values --
 each pairs a document with a :class:`JobSpec` (which of the paper's four
 problems to run, and its parameters) and the corpus-wide
 :class:`~repro.core.model.BernoulliModel`.  Jobs are plain picklable
-dataclasses, and :func:`run_job` is the module-level unit of work the
-executors dispatch.
+dataclasses.  :func:`run_job_batch` is the unit of work the executor
+runs on its calling thread, a window of jobs at a time, and
+:func:`run_job` is the per-document reference it equals.
 
 The per-document outcome is a :class:`DocumentResult`: the mined
 substrings, the scan's work counters, and a per-document p-value that the
@@ -246,7 +247,8 @@ class DocumentResult:
 
 
 def run_job(job: MiningJob) -> DocumentResult:
-    """Mine one job: the executors' per-document unit of work."""
+    """Mine one job through its problem's ``find_*`` wrapper: the
+    per-document reference that :func:`run_job_batch` equals."""
     substrings, stats, truncated = job.spec.mine(job.text, job.model)
     best_p = substrings[0].p_value if substrings else 1.0
     return DocumentResult(

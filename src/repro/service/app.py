@@ -120,8 +120,8 @@ class MiningService(FrontDoor):
         ``workers=1``; ``/stats`` reports the thread count that
         actually mines (``engine.threads``).
     batch_docs:
-        Micro-batch target size (documents per dispatched batch, and
-        the engine's kernel batch size when it mines on one thread).
+        Micro-batch target size: documents per dispatched batch (see
+        :class:`~repro.service.batcher.MicroBatcher`).
     max_pending_docs / tenant_fair_share:
         Backpressure bound and per-tenant fair-share quota -- see
         :class:`~repro.service.batcher.MicroBatcher`.
@@ -159,9 +159,10 @@ class MiningService(FrontDoor):
         Service-level objectives.  A spec string like
         ``"p99:250ms,errors:0.1%"`` (``serve --slo``) builds an
         *enforced* :class:`~repro.obs.slo.SloTracker` whose fast-burn
-        condition degrades ``/healthz``; a prebuilt tracker is used
+        condition sets ``slo_fast_burn`` on ``/healthz`` (``status``
+        stays ``ok``, see :meth:`healthz`); a prebuilt tracker is used
         as-is; ``None`` tracks default objectives for the
-        ``repro_slo_*`` gauges without ever degrading health.
+        ``repro_slo_*`` gauges without ever setting ``slo_fast_burn``.
     engine:
         Escape hatch: a fully built engine to serve with (overrides
         ``workers``/``correction``/``alpha``/``calibration``).
@@ -192,7 +193,6 @@ class MiningService(FrontDoor):
                 calibration=calibration,
                 correction=correction,
                 alpha=alpha,
-                batch_docs=batch_docs,
             )
         self.model = model
         self.backend = backend
@@ -372,7 +372,6 @@ class MiningService(FrontDoor):
                 "workers": getattr(executor, "workers", 1),
                 "threads": threads(self.backend) if threads is not None else 1,
                 **self.backend_status(),
-                "batch_docs": self.engine.batch_docs,
                 "correction": self.engine.correction,
                 "alpha": self.engine.alpha,
             },

@@ -1,8 +1,8 @@
 """Request micro-batching: many concurrent requests, few kernel calls.
 
-The engine's throughput comes from batched kernel dispatch
-(``mine_batch`` over ``batch_docs`` documents) -- but a service sees
-documents one or two at a time, spread across many concurrent clients.
+The engine's throughput comes from mining many documents per kernel
+``mine_batch`` call -- but a service sees documents one or two at a
+time, spread across many concurrent clients.
 :class:`MicroBatcher` converts the one into the other:
 
 1. ``submit()`` enqueues a validated
@@ -63,8 +63,7 @@ __all__ = [
     "ServiceOverloaded",
 ]
 
-#: Documents per dispatched batch (and per kernel call when the engine
-#: mines on one thread) unless the engine or the service picks another.
+#: Documents per dispatched batch unless the service picks another.
 DEFAULT_BATCH_DOCS = 32
 
 #: Document-count buckets for the batch-fill histogram (how full each
@@ -168,7 +167,7 @@ class MicroBatcher:
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if batch_docs is None:
-            batch_docs = engine.batch_docs or DEFAULT_BATCH_DOCS
+            batch_docs = DEFAULT_BATCH_DOCS
         if batch_docs < 1:
             raise ValueError(f"batch_docs must be >= 1, got {batch_docs!r}")
         if max_pending_docs < 1:
@@ -632,7 +631,6 @@ class MicroBatcher:
                         slice_docs,
                         correction=pending.request.correction,
                         alpha=pending.request.alpha,
-                        batch_docs=self.engine.batch_docs,
                         elapsed=mine_elapsed * (docs / len(jobs)),
                     )
                 except Exception as exc:

@@ -13,8 +13,9 @@ only its endpoint handlers and its own start/stop steps.
   blocking form the CLI uses.
 * **The keep-alive connection loop** -- one
   :func:`~repro.service.protocol.read_message` per request: a
-  malformed message is answered 400 and a head that starts but does not
-  finish within :data:`HEAD_TIMEOUT` seconds (the connection's
+  malformed message is answered 400 and a request whose head and
+  declared body do not arrive within :data:`HEAD_TIMEOUT` seconds of
+  its first byte (the connection's
   :class:`~repro.service.protocol.HeadClock`) 408, both with
   ``Connection: close``; a request arriving while the server drains is
   answered 503 with ``Connection: close``.  Idle keep-alive connections
@@ -23,9 +24,10 @@ only its endpoint handlers and its own start/stop steps.
   prefix route (``/trace/<id>``); dispatch answers 404 for an unknown
   path and 405 for the wrong method.  Every handler is
   ``async handler(path, query, headers, body) -> bytes``.
-* **Request counting** -- every answered exchange, the 408 and the
-  draining 503 included, increments the server's ``endpoint``/``status``
-  counter; a message refused as malformed before dispatch does not.  Unknown paths count as ``other`` and ``/trace/<id>`` as
+* **Request counting** -- every answered exchange, the framing 400,
+  the 408 and the draining 503 included, increments the server's
+  ``endpoint``/``status`` counter.  Unknown paths, and messages refused
+  before their path is known, count as ``other`` and ``/trace/<id>`` as
   ``/trace``, so a scanner cannot inflate label cardinality.
 * **The drain** -- :meth:`FrontDoor._close_door` stops accepting and
   turns new requests into 503s; :meth:`FrontDoor._drain` waits, bounded
@@ -53,8 +55,8 @@ from repro.service.protocol import (
 
 __all__ = ["HEAD_TIMEOUT", "FrontDoor", "Handler"]
 
-#: Seconds a request head may take from its first byte to its blank
-#: line; a slower head is answered 408 and its connection closed.
+#: Seconds a request may take from its first byte to the end of its
+#: declared body; a slower one is answered 408 and its connection closed.
 HEAD_TIMEOUT = 10.0
 
 #: ``async handler(path, query, headers, body) -> response bytes``.
@@ -228,21 +230,15 @@ class FrontDoor:
                     message = await read_message(
                         reader, writer, head_clock=head_clock
                     )
-                except HeadTimeout as exc:
+                except ProtocolError as exc:
+                    # HeadTimeout is the 408 kind of ProtocolError.
                     started = time.perf_counter()
+                    status = 408 if isinstance(exc, HeadTimeout) else 400
                     response = response_bytes(
-                        408, {"error": str(exc)}, keep_alive=False
+                        status, {"error": str(exc)}, keep_alive=False
                     )
                     self._count("", response, started)
                     writer.write(response)
-                    await writer.drain()
-                    break
-                except ProtocolError as exc:
-                    writer.write(
-                        response_bytes(
-                            400, {"error": str(exc)}, keep_alive=False
-                        )
-                    )
                     await writer.drain()
                     break
                 if message is None:

@@ -89,21 +89,23 @@ class ProtocolError(ValueError):
 
 
 class HeadTimeout(ProtocolError):
-    """A request head that started but did not finish in time (HTTP 408)."""
+    """A request that started but whose head or body did not finish in
+    time (HTTP 408)."""
 
 
 class HeadClock:
-    """The head time limit of one connection's requests.
+    """The time limit of one connection's requests, head and body.
 
     :func:`read_message` starts the clock at a head's first byte and
-    stops it at the head's end; a head still open ``timeout`` seconds
-    after it started has its reading task cancelled, which
-    :func:`read_message` turns into :class:`HeadTimeout`.  At most one
-    timer per connection is pending: it is armed when a head starts and
-    none is, and when it fires it ends the head it was armed for if that
-    head is still open, re-arms for a later open head, or lapses.  So a
-    head costs a clock read, where a timer armed and cancelled for every
-    head measured about 20 us of event-loop CPU per request (2 vCPUs).
+    stops it once the declared body is in; a message still open
+    ``timeout`` seconds after it started has its reading task cancelled,
+    which :func:`read_message` turns into :class:`HeadTimeout`.  At most
+    one timer per connection is pending: it is armed when a message
+    starts and none is, and when it fires it ends the message it was
+    armed for if that message is still open, re-arms for a later open
+    one, or lapses.  So a message costs a clock read, where a timer armed
+    and cancelled for every head measured about 20 us of event-loop CPU
+    per request (2 vCPUs).
     :meth:`close` the clock with its connection.
     """
 
@@ -113,14 +115,14 @@ class HeadClock:
         self._timer: asyncio.TimerHandle | None = None
 
     def start(self) -> None:
-        """A head has started (its first byte is in)."""
+        """A message has started (its first byte is in)."""
         loop = asyncio.get_running_loop()
         self._started = loop.time()
         if self._timer is None:
             self._arm(loop, asyncio.current_task())
 
     def stop(self) -> None:
-        """The head has ended (read whole, or failed)."""
+        """The message has ended (read whole, or failed)."""
         self._started = None
 
     def close(self) -> None:
@@ -176,7 +178,8 @@ class MineRequest:
 
         Requests sharing an (alphabet, probabilities) pair share a
         tenant key -- the per-tenant accounting handle the access log
-        records (and the eventual per-tenant quota layer will key on).
+        records and the batcher's per-tenant queue quota
+        (``tenant_fair_share``) keys on.
         Deliberately *not* derived from any client identity: the model
         is what distinguishes tenants of a shared mining service.
         """
@@ -370,8 +373,9 @@ async def read_message(
     never reads past the declared body.
 
     With a ``head_clock`` (the servers' request loop) the first byte is
-    awaited without a limit and the rest of the head within the clock's
-    timeout: :class:`HeadTimeout` when it stalls.  When ``writer`` is
+    awaited without a limit and the rest of the message, head and
+    declared body, within the clock's timeout: :class:`HeadTimeout` when
+    either stalls.  When ``writer`` is
     given, an ``Expect: 100-continue`` request is answered with the
     interim ``100 Continue`` before its body is read -- curl sends it
     for bodies over ~1 KB and would otherwise stall for its
@@ -385,12 +389,56 @@ async def read_message(
         if not first:
             return None
         head_clock.start()
+    part = "head"
     try:
         head = first + await reader.readuntil(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        if response:
+            parts = lines[0].split(None, 2)
+            if (
+                len(parts) < 2
+                or not parts[0].startswith("HTTP/1.")
+                or len(parts[1]) != 3
+                or not parts[1].isdecimal()
+            ):
+                raise ProtocolError(f"malformed status line {lines[0]!r}")
+            start = (int(parts[1]), parts[2] if len(parts) == 3 else "")
+        else:
+            parts = lines[0].split()
+            if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+                raise ProtocolError(f"malformed request line {lines[0]!r}")
+            start = (parts[0].upper(), parts[1])
+        # The head ends at its first blank line, so lines[-2:] are the two
+        # empty strings after it and every line between is a header.
+        headers: dict[str, str] = {}
+        for line in lines[1:-2]:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        if len(headers) < len(lines) - 3:
+            _refuse_conflicting_framing(lines[1:-2])
+        if "chunked" in headers.get("transfer-encoding", "").lower():
+            raise ProtocolError("chunked transfer encoding is not supported")
+        length = headers.get("content-length", "0")
+        try:
+            length = int(length)
+        except ValueError:
+            raise ProtocolError(f"bad Content-Length {length!r}") from None
+        if length < 0 or length > MAX_BODY_BYTES:
+            raise ProtocolError(f"Content-Length {length} out of range")
+        if not length:
+            return (*start, headers, b"")
+        part = "body"
+        if (
+            writer is not None
+            and "100-continue" in headers.get("expect", "").lower()
+        ):
+            writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            await writer.drain()
+        return (*start, headers, await reader.readexactly(length))
     except asyncio.IncompleteReadError as exc:
-        if not first and not exc.partial:
+        if part == "head" and not first and not exc.partial:
             return None
-        raise ProtocolError(f"truncated {kind} head") from None
+        raise ProtocolError(f"truncated {kind} {part}") from None
     except asyncio.LimitOverrunError:
         raise ProtocolError(f"{kind} head too large") from None
     except asyncio.CancelledError as exc:
@@ -398,57 +446,11 @@ async def read_message(
             raise
         asyncio.current_task().uncancel()
         raise HeadTimeout(
-            f"request head not complete within {head_clock.timeout:g}s"
+            f"request {part} not complete within {head_clock.timeout:g}s"
         ) from None
     finally:
         if head_clock is not None:
             head_clock.stop()
-    lines = head.decode("latin-1").split("\r\n")
-    if response:
-        parts = lines[0].split(None, 2)
-        if (
-            len(parts) < 2
-            or not parts[0].startswith("HTTP/1.")
-            or len(parts[1]) != 3
-            or not parts[1].isdecimal()
-        ):
-            raise ProtocolError(f"malformed status line {lines[0]!r}")
-        start = (int(parts[1]), parts[2] if len(parts) == 3 else "")
-    else:
-        parts = lines[0].split()
-        if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-            raise ProtocolError(f"malformed request line {lines[0]!r}")
-        start = (parts[0].upper(), parts[1])
-    # The head ends at its first blank line, so lines[-2:] are the two
-    # empty strings after it and every line between is a header.
-    headers: dict[str, str] = {}
-    for line in lines[1:-2]:
-        name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    if len(headers) < len(lines) - 3:
-        _refuse_conflicting_framing(lines[1:-2])
-    if "chunked" in headers.get("transfer-encoding", "").lower():
-        raise ProtocolError("chunked transfer encoding is not supported")
-    length = headers.get("content-length", "0")
-    try:
-        length = int(length)
-    except ValueError:
-        raise ProtocolError(f"bad Content-Length {length!r}") from None
-    if length < 0 or length > MAX_BODY_BYTES:
-        raise ProtocolError(f"Content-Length {length} out of range")
-    if not length:
-        return (*start, headers, b"")
-    if (
-        writer is not None
-        and "100-continue" in headers.get("expect", "").lower()
-    ):
-        writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        await writer.drain()
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise ProtocolError(f"truncated {kind} body") from None
-    return (*start, headers, body)
 
 
 def _refuse_conflicting_framing(header_lines: list[str]) -> None:

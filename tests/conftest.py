@@ -25,6 +25,13 @@ hypothesis.settings.register_profile(
 ALPHABETS = {2: "ab", 3: "abc", 4: "abcd", 5: "abcde"}
 
 
+def pytest_configure(config):
+    """Register the suite's custom markers."""
+    config.addinivalue_line(
+        "markers", "slow: a test that takes tens of seconds to run"
+    )
+
+
 @pytest.fixture
 def scratch_registry():
     """Snapshot the process-global backend registry and restore it

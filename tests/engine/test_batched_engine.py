@@ -1,20 +1,17 @@
-"""The engine's batched corpus path: identical results, fewer kernel calls.
+"""The calling thread's multi-document path: windows of 32 documents.
 
-``CorpusEngine(batch_docs=N)`` must be a pure throughput knob: for every
-problem, backend, executor and batch size -- including batch sizes of 1,
-sizes that do not divide the corpus, and sizes larger than it -- the
-per-document payloads are byte-identical to the per-document dispatch
-path.  The serial engine (``ThreadExecutor(1)``) is the one that honours
-``batch_docs`` on every backend, so it is the one under test here.
+Every run that does not go to the native lanes -- numpy, python, or a
+single document on any backend -- mines on the calling thread, one
+:func:`run_job_batch` call (one kernel ``mine_batch`` call per (spec,
+model) group) per window of 32 documents.  Grouping is invisible: for
+every problem and backend, and corpora on both sides of the window's
+edges, the per-document payloads equal per-document :func:`run_job`.
 """
-
-import json
 
 import pytest
 
 from repro.core.model import BernoulliModel
 from repro.engine import (
-    CorpusEngine,
     JobSpec,
     MiningJob,
     ThreadExecutor,
@@ -22,6 +19,27 @@ from repro.engine import (
     run_job_batch,
 )
 from repro.generators import generate_null_string
+from repro.kernels import resolved_backend_name
+from repro.kernels.numpy_backend import NumpyBackend
+
+NATIVE = resolved_backend_name("native") == "native"
+
+BACKENDS = [
+    "python",
+    "numpy",
+    pytest.param(
+        "native",
+        marks=pytest.mark.skipif(
+            not NATIVE,
+            reason="native backend unavailable (no C compiler or cached "
+                   "artifact)",
+        ),
+    ),
+]
+
+#: Corpus sizes at the window's edges: one document, one short of a
+#: window, a window, one past it, and two windows plus a remainder.
+SIZES = [1, 31, 32, 33, 70]
 
 
 @pytest.fixture(scope="module")
@@ -31,25 +49,18 @@ def model():
 
 @pytest.fixture(scope="module")
 def corpus(model):
-    """Ragged corpus with planted bursts every sixth document."""
+    """70 ragged documents, a planted burst in every sixth."""
     texts = []
-    for i in range(23):
-        text = generate_null_string(model, 40 + 29 * (i % 5), seed=200 + i)
+    for i in range(70):
+        text = generate_null_string(model, 20 + 13 * (i % 5), seed=200 + i)
         if i % 6 == 0:
-            text = text[:20] + "a" * 12 + text[32:]
+            text = text[:5] + "a" * 12 + text[17:]
         texts.append(text)
     return texts
 
 
-def _serial(**kwargs):
-    return CorpusEngine(executor=ThreadExecutor(1), **kwargs)
-
-
-def _canonical(result):
-    return json.dumps(
-        [doc.payload(include_timing=False) for doc in result.documents],
-        sort_keys=True,
-    )
+def _payloads(documents):
+    return [doc.payload(include_timing=False) for doc in documents]
 
 
 SPECS = [
@@ -62,45 +73,46 @@ SPECS = [
 ]
 
 
-class TestBatchedParity:
+class TestWindowParity:
+    @pytest.mark.parametrize("size", SIZES)
     @pytest.mark.parametrize("spec", SPECS, ids=repr)
-    def test_batch_docs_is_invisible(self, model, corpus, spec):
-        reference = _canonical(_serial().run_texts(corpus, model, spec))
-        for batch_docs in (1, 4, 10, 23, 99):
-            batched = _serial(batch_docs=batch_docs).run_texts(
-                corpus, model, spec
-            )
-            assert _canonical(batched) == reference, batch_docs
-            assert batched.batch_docs == batch_docs
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_equal_to_run_job(self, model, corpus, backend, spec, size):
+        spec = JobSpec(**{**spec.__dict__, "backend": backend})
+        jobs = [
+            MiningJob(f"doc-{i}", text, spec, model)
+            for i, text in enumerate(corpus[:size])
+        ]
+        mined = ThreadExecutor(1).run_jobs(jobs)
+        assert _payloads(mined) == _payloads(run_job(job) for job in jobs)
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_batched_parity_per_backend(self, model, corpus, backend):
-        spec = JobSpec(backend=backend)
-        reference = _canonical(_serial().run_texts(corpus, model, spec))
-        batched = _serial(batch_docs=6).run_texts(corpus, model, spec)
-        assert _canonical(batched) == reference
+    def test_mixed_specs_make_one_call_per_group_and_window(
+        self, model, corpus, monkeypatch
+    ):
+        calls = []
+        real = NumpyBackend.mine_batch
 
-    def test_batched_with_parallel_executors(self, model, corpus):
-        reference = _canonical(_serial().run_texts(corpus, model))
-        for executor in (ThreadExecutor(1), ThreadExecutor(workers=3)):
-            batched = CorpusEngine(executor=executor, batch_docs=5).run_texts(
-                corpus, model
-            )
-            assert _canonical(batched) == reference
+        def spy(self, indexes, model, spec):
+            calls.append((spec.problem, len(indexes)))
+            return real(self, indexes, model, spec)
 
-    def test_mixed_specs_group_within_chunks(self, model, corpus):
+        monkeypatch.setattr(NumpyBackend, "mine_batch", spy)
         specs = [
-            JobSpec(),
-            JobSpec(problem="top", t=3),
-            JobSpec(problem="threshold", threshold=1.5),
+            JobSpec(backend="numpy"),
+            JobSpec(problem="top", t=3, backend="numpy"),
+            JobSpec(problem="threshold", threshold=1.5, backend="numpy"),
         ]
         jobs = [
             MiningJob(f"doc-{i}", text, specs[i % 3], model)
-            for i, text in enumerate(corpus)
+            for i, text in enumerate(corpus[:33])
         ]
-        reference = _canonical(_serial().run(jobs))
-        batched = _canonical(_serial().run(jobs, batch_docs=7))
-        assert batched == reference
+        mined = ThreadExecutor(1).run_jobs(jobs)
+        # Window one: documents 0-31 in three groups; window two:
+        # document 32, a threshold job.
+        assert calls == [
+            ("mss", 11), ("top", 11), ("threshold", 10), ("threshold", 1),
+        ]
+        assert _payloads(mined) == _payloads(run_job(job) for job in jobs)
 
 
 class TestRunJobBatch:
@@ -142,21 +154,6 @@ class TestRunJobBatch:
 
 
 class TestValidation:
-    def test_bad_batch_docs_rejected(self, model):
-        with pytest.raises(ValueError, match="batch_docs"):
-            CorpusEngine(batch_docs=0)
-        with pytest.raises(ValueError, match="batch_docs"):
-            CorpusEngine(batch_docs=True)
-        engine = CorpusEngine()
-        with pytest.raises(ValueError, match="batch_docs"):
-            engine.run_texts(["ab"], model, batch_docs=-3)
-
-    def test_batch_docs_in_payload(self, model):
-        result = CorpusEngine(batch_docs=2).run_texts(["ab" * 10], model)
-        assert result.payload()["batch_docs"] == 2
-        result = CorpusEngine().run_texts(["ab" * 10], model)
-        assert result.payload()["batch_docs"] is None
-
     def test_degenerate_threshold_limit_rejected_at_spec(self):
         with pytest.raises(ValueError, match="limit"):
             JobSpec(problem="threshold", threshold=1.0, limit=0)

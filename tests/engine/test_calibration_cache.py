@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.model import BernoulliModel
 from repro.engine.calibration import (
-    SCHEMA_VERSION,
     CalibrationCache,
     length_bucket,
     model_fingerprint,
@@ -185,86 +184,3 @@ class TestFingerprint:
         model = BernoulliModel.uniform([0, 1])
         with pytest.raises(TypeError, match="string symbols"):
             model_fingerprint(model, 100, 0)
-
-
-class TestSaveLoad:
-    def test_round_trip_restores_identical_samples(self, model, tmp_path):
-        cache = CalibrationCache(trials=12, seed=3)
-        small = cache.distribution_for(model, 50)
-        large = cache.distribution_for(model, 200)
-        path = tmp_path / "calibration.json"
-        assert cache.save(path) == 2
-
-        fresh = CalibrationCache(trials=12, seed=3)
-        assert fresh.load(path) == 2
-        assert fresh.distribution_for(model, 50).samples == small.samples
-        assert fresh.distribution_for(model, 200).samples == large.samples
-        assert fresh.misses == 0  # nothing was re-simulated
-
-    def test_load_rejects_different_trials_and_seed(self, model, tmp_path):
-        cache = CalibrationCache(trials=12, seed=3)
-        cache.distribution_for(model, 50)
-        path = tmp_path / "calibration.json"
-        cache.save(path)
-        with pytest.raises(ValueError, match="trials"):
-            CalibrationCache(trials=20, seed=3).load(path)
-        with pytest.raises(ValueError, match="seed"):
-            CalibrationCache(trials=12, seed=4).load(path)
-
-    def test_load_rejects_tampered_model_params(self, model, tmp_path):
-        cache = CalibrationCache(trials=12, seed=0)
-        cache.distribution_for(model, 50)
-        path = tmp_path / "calibration.json"
-        cache.save(path)
-        data = json.loads(path.read_text())
-        data["entries"][0]["probabilities"] = [0.9, 0.1]  # not what was simulated
-        path.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="fingerprint"):
-            CalibrationCache(trials=12, seed=0).load(path)
-
-    def test_load_rejects_other_schema_and_format(self, model, tmp_path):
-        cache = CalibrationCache(trials=12, seed=0)
-        cache.distribution_for(model, 50)
-        path = tmp_path / "calibration.json"
-        cache.save(path)
-        data = json.loads(path.read_text())
-        data["schema"] = SCHEMA_VERSION + 1
-        path.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="schema"):
-            CalibrationCache(trials=12, seed=0).load(path)
-        path.write_text(json.dumps({"format": "something-else"}))
-        with pytest.raises(ValueError, match="not a persisted"):
-            CalibrationCache(trials=12, seed=0).load(path)
-
-    @pytest.mark.parametrize("tricky_model", [
-        # Renormalization shifts these probabilities by an ulp when a
-        # model is rebuilt from its own floats -- the round-trip must
-        # not depend on reconstruction surviving that (it once did).
-        BernoulliModel.uniform("abcdef"),
-        BernoulliModel.uniform("abcdefg"),
-        BernoulliModel.from_string("abacabadabacabae"),
-        BernoulliModel("abc", [0.1, 0.2, 0.7]),
-    ], ids=lambda m: f"k{m.k}")
-    def test_round_trip_survives_non_idempotent_renormalization(
-        self, tricky_model, tmp_path
-    ):
-        cache = CalibrationCache(trials=10, seed=5)
-        expected = cache.distribution_for(tricky_model, 50).samples
-        path = tmp_path / "calibration.json"
-        cache.save(path)
-        fresh = CalibrationCache(trials=10, seed=5)
-        assert fresh.load(path) == 1
-        assert fresh.distribution_for(tricky_model, 50).samples == expected
-        assert fresh.misses == 0
-
-    def test_save_is_deterministic_bytes(self, model, tmp_path):
-        first = CalibrationCache(trials=12, seed=3)
-        first.distribution_for(model, 200)
-        first.distribution_for(model, 50)
-        second = CalibrationCache(trials=12, seed=3)
-        second.distribution_for(model, 50)  # opposite request order
-        second.distribution_for(model, 200)
-        path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
-        first.save(path_a)
-        second.save(path_b)
-        assert path_a.read_bytes() == path_b.read_bytes()

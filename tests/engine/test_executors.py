@@ -4,11 +4,11 @@
 because it is the serial engine, faster: every per-document payload --
 scores, intervals, substring orderings, evaluated/skipped counters,
 truncation flags -- must equal ``ThreadExecutor(1)``'s across
-problems, backends, worker counts and batch sizes.  Native kernels mine
-on the lanes of every worker thread, which claim documents from one
-cursor per group; every other backend mines on the calling thread.  An
-expired batch deadline stops a run from claiming its remaining
-documents.
+problems, backends and worker counts.  Native kernels mine on the
+lanes of every worker thread, which claim documents from one cursor per
+group; every other backend mines on the calling thread, in windows of
+32 documents.  An expired batch deadline stops a run from claiming its
+remaining documents.
 """
 
 import json
@@ -106,6 +106,23 @@ def _spy_mine_batch(monkeypatch):
     return calls
 
 
+def _spy_run_job_batch(monkeypatch, after=None):
+    """Record ``(thread, documents)`` for every calling-thread window
+    (``run_job_batch`` call); ``after(jobs)`` runs once each is mined."""
+    seen = []
+    real = executors_module.run_job_batch
+
+    def spy(jobs):
+        seen.append((threading.current_thread(), len(jobs)))
+        documents = real(jobs)
+        if after is not None:
+            after(jobs)
+        return documents
+
+    monkeypatch.setattr(executors_module, "run_job_batch", spy)
+    return seen
+
+
 class TestThreadParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("spec", PROBLEMS, ids=repr)
@@ -136,15 +153,6 @@ class TestThreadParity:
         assert threaded.stats.positions_skipped == (
             reference.stats.positions_skipped
         )
-
-    @pytest.mark.parametrize("batch_docs", [None, 1, 3, 999])
-    def test_batch_docs_is_invisible(self, model, corpus, batch_docs):
-        reference = _canonical(_serial().run_texts(corpus, model))
-        with ThreadExecutor(2) as executor:
-            result = CorpusEngine(executor=executor).run_texts(
-                corpus, model, batch_docs=batch_docs
-            )
-        assert _canonical(result) == reference
 
     def test_mixed_spec_and_backend_groups(self, model, corpus):
         specs = [
@@ -224,24 +232,18 @@ class TestThreadTier:
         assert ThreadExecutor(1).threads("native") == 1
 
     def test_gil_bound_backends_mine_on_the_calling_thread(
-        self, model, corpus, monkeypatch
+        self, model, monkeypatch
     ):
         """numpy/python runs never touch the pool: one thread, in
-        ``batch_docs`` chunks, as ``--workers 1`` does."""
-        seen = []
-        real = executors_module.run_job_batch
-
-        def spy(jobs):
-            seen.append((threading.current_thread(), len(jobs)))
-            return real(jobs)
-
-        monkeypatch.setattr(executors_module, "run_job_batch", spy)
+        windows of 32 documents, as ``--workers 1`` does."""
+        seen = _spy_run_job_batch(monkeypatch)
         executor = ThreadExecutor(2)
-        CorpusEngine(executor=executor, batch_docs=8).run_texts(
-            corpus, model, JobSpec(backend="numpy")
+        texts = [generate_null_string(model, 40, seed=i) for i in range(70)]
+        CorpusEngine(executor=executor).run_texts(
+            texts, model, JobSpec(backend="numpy")
         )
         assert {thread for thread, _ in seen} == {threading.current_thread()}
-        assert [size for _, size in seen] == [8, 8, 7]
+        assert [size for _, size in seen] == [32, 32, 6]
         assert executor.started is False
 
     @needs_native
@@ -252,7 +254,7 @@ class TestThreadTier:
         together they claim every document exactly once."""
         calls = _spy_mine_batch(monkeypatch)
         with ThreadExecutor(2) as executor:
-            CorpusEngine(executor=executor, batch_docs=8).run_texts(
+            CorpusEngine(executor=executor).run_texts(
                 corpus, model, JobSpec(backend="native")
             )
         assert len(calls) == 2
@@ -383,10 +385,10 @@ class TestWindows:
 
 
 class TestDeadlines:
-    def _run(self, executor, jobs, deadline, batch_docs=None):
+    def _run(self, executor, jobs, deadline):
         token = set_active_deadline(deadline)
         try:
-            return executor.run_jobs(jobs, batch_docs=batch_docs)
+            return executor.run_jobs(jobs)
         finally:
             reset_active_deadline(token)
 
@@ -422,9 +424,24 @@ class TestDeadlines:
         jobs = self._jobs(model, 6, JobSpec(backend="python"))
         expired = Deadline(time.monotonic() - 1.0)
         for executor in (ThreadExecutor(1), ThreadExecutor(2)):
-            for batch_docs in (None, 2):
-                with pytest.raises(DeadlineExceeded, match="6 or more"):
-                    self._run(executor, jobs, expired, batch_docs)
+            with pytest.raises(DeadlineExceeded, match="6 or more"):
+                self._run(executor, jobs, expired)
+
+    def test_serial_path_stops_before_the_next_window(
+        self, model, monkeypatch
+    ):
+        """The deadline passes while the first window mines: the second
+        window is never mined, and the run names the 38 left."""
+        deadline = Deadline(time.monotonic() + 0.5)
+
+        def outlast_the_deadline(jobs):
+            time.sleep(max(0.0, deadline.remaining()) + 0.01)
+
+        seen = _spy_run_job_batch(monkeypatch, outlast_the_deadline)
+        jobs = self._jobs(model, 70, JobSpec(backend="numpy"))
+        with pytest.raises(DeadlineExceeded, match="38 or more"):
+            self._run(ThreadExecutor(1), jobs, deadline)
+        assert [size for _, size in seen] == [32]
 
     def test_expired_native_batch_mines_nothing(self, model):
         jobs = self._jobs(model, 6)

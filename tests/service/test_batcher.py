@@ -31,9 +31,9 @@ class CountingEngine(CorpusEngine):
         super().__init__(**kwargs)
         self.mine_calls = 0
 
-    def mine_documents(self, jobs, *, batch_docs=None):
+    def mine_documents(self, jobs):
         self.mine_calls += 1
-        return super().mine_documents(jobs, batch_docs=batch_docs)
+        return super().mine_documents(jobs)
 
 
 class GatedEngine(CountingEngine):
@@ -50,10 +50,10 @@ class GatedEngine(CountingEngine):
         self.entered = threading.Event()
         self.gate = threading.Event()
 
-    def mine_documents(self, jobs, *, batch_docs=None):
+    def mine_documents(self, jobs):
         self.entered.set()
         assert self.gate.wait(timeout=30), "test forgot to open the gate"
-        return super().mine_documents(jobs, batch_docs=batch_docs)
+        return super().mine_documents(jobs)
 
 
 def request(text="ab" * 20, **fields):
@@ -325,11 +325,11 @@ class TestTenantQuota:
                 self.entered = [threading.Event(), threading.Event()]
                 self.gates = [threading.Event(), threading.Event()]
 
-            def mine_documents(self, jobs, *, batch_docs=None):
+            def mine_documents(self, jobs):
                 stage = min(self.mine_calls, 1)
                 self.entered[stage].set()
                 assert self.gates[stage].wait(timeout=30)
-                return super().mine_documents(jobs, batch_docs=batch_docs)
+                return super().mine_documents(jobs)
 
         async def scenario():
             engine = TwoGateEngine()
@@ -439,11 +439,11 @@ class TestDraining:
 
     def test_mining_failure_fails_the_whole_batch_only(self):
         class FlakyEngine(CountingEngine):
-            def mine_documents(self, jobs, *, batch_docs=None):
+            def mine_documents(self, jobs):
                 if self.mine_calls == 0:
                     self.mine_calls += 1
                     raise RuntimeError("backend exploded")
-                return super().mine_documents(jobs, batch_docs=batch_docs)
+                return super().mine_documents(jobs)
 
         async def scenario():
             batcher = MicroBatcher(FlakyEngine())

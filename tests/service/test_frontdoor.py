@@ -8,11 +8,15 @@ in-process service and against an in-process router fronting it:
 * a body of deeply nested JSON is a 400 "body is not valid JSON",
   counted and traced like any other 400 (it used to drop the
   connection with an unhandled ``RecursionError``);
-* a request head that starts but stalls is answered 408 with
+* a request whose head or declared body stalls is answered 408 with
   ``Connection: close`` once ``HEAD_TIMEOUT`` passes, counted as
   endpoint ``other`` -- a head after a finished one on the same
   connection gets its whole timeout too -- while an idle keep-alive
-  connection held past the same timeout still gets its next answer;
+  connection held past the same timeout still gets its next answer,
+  and so does a body sent in parts, or after ``100 Continue``, in time;
+* a message refused at the framing level (malformed request line,
+  chunked encoding, bad ``Content-Length``) is a 400 counted as
+  endpoint ``other``;
 * request counting clamps endpoint labels: unknown paths count as
   ``other`` and ``/trace/<id>`` as ``/trace``.
 """
@@ -114,6 +118,90 @@ def test_a_stalled_head_is_answered_408_and_closed(server, monkeypatch):
     assert b"\r\nConnection: close" in head
     assert "not complete within 0.3s" in json.loads(body)["error"]
     assert _count(kind, address, "other", 408) == before + 1
+
+
+def test_a_stalled_body_is_answered_408_and_closed(server, monkeypatch):
+    kind, address = server
+    monkeypatch.setattr(frontdoor, "HEAD_TIMEOUT", 0.3)
+    before = _count(kind, address, "other", 408)
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(
+            b"POST /mine HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+            b'{"text": "'
+        )
+        started = time.monotonic()
+        answer = _read_until_closed(sock)
+    assert 0.25 <= time.monotonic() - started < 5.0
+    head, _, body = answer.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+    assert b"\r\nConnection: close" in head
+    assert "body not complete within 0.3s" in json.loads(body)["error"]
+    assert _count(kind, address, "other", 408) == before + 1
+
+
+def _mine_body() -> bytes:
+    return json.dumps({"text": "ab" * 20 + "a" * 12 + "ba" * 20}).encode()
+
+
+def _read_response(sock) -> bytes:
+    """One whole response off a keep-alive socket."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        data += sock.recv(65536)
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+    while len(body) < length:
+        body += sock.recv(65536)
+    return head + b"\r\n\r\n" + body
+
+
+def test_a_body_sent_in_parts_in_time_is_answered(server, monkeypatch):
+    _, address = server
+    monkeypatch.setattr(frontdoor, "HEAD_TIMEOUT", 2.0)
+    body = _mine_body()
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(
+            b"POST /mine HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+            % len(body) + body[:10]
+        )
+        time.sleep(0.2)
+        sock.sendall(body[10:])
+        answer = _read_response(sock)
+    assert answer.startswith(b"HTTP/1.1 200 OK\r\n")
+    assert json.loads(answer.partition(b"\r\n\r\n")[2])["documents"] == 1
+
+
+def test_expect_100_continue_still_gets_its_answer(server, monkeypatch):
+    _, address = server
+    monkeypatch.setattr(frontdoor, "HEAD_TIMEOUT", 2.0)
+    body = _mine_body()
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(
+            b"POST /mine HTTP/1.1\r\nExpect: 100-continue\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body)
+        )
+        interim = b""
+        while not interim.endswith(b"\r\n\r\n"):
+            interim += sock.recv(1)
+        assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.sendall(body)
+        answer = _read_response(sock)
+    assert answer.startswith(b"HTTP/1.1 200 OK\r\n")
+
+
+@pytest.mark.parametrize("request_head", [
+    b"NOT-HTTP\r\n\r\n",
+    b"POST /mine HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+    b"POST /mine HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+], ids=["request-line", "chunked", "content-length"])
+def test_framing_400s_are_counted(server, request_head):
+    kind, address = server
+    before = _count(kind, address, "other", 400)
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(request_head)
+        answer = _read_until_closed(sock)
+    assert answer.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+    assert _count(kind, address, "other", 400) == before + 1
 
 
 def test_a_head_after_a_finished_one_gets_its_whole_timeout(

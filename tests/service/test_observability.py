@@ -94,10 +94,10 @@ class TestStatsSchema:
         # the resolved kernel backend, not None, whatever the executor
         assert engine["backend"] in ("numpy", "python", "native")
         assert engine["backend_resolved"] in ("numpy", "python", "native")
-        for key in ("executor", "workers", "threads", "batch_docs",
-                    "correction", "alpha"):
+        for key in ("executor", "workers", "threads", "correction", "alpha"):
             assert key in engine
         batcher = stats["batcher"]
+        assert batcher["batch_docs"] == 4
         assert batcher["requests_total"] == 1
         assert batcher["docs_total"] == len(corpus)
         # the metrics snapshot rides /stats and tells the same story

@@ -110,22 +110,14 @@ class TestEndToEnd:
         ]
         assert strip(parallel) == strip(serial)
 
-    def test_batch_docs_results_match_per_document(self, corpus_dir, capsys):
-        reference = _run_json(["batch", str(corpus_dir)], capsys)
-        batched = _run_json(
-            ["batch", str(corpus_dir), "--batch-docs", "4"], capsys
-        )
-        strip = lambda p: [
-            {key: value for key, value in r.items() if key != "elapsed_seconds"}
-            for r in p["results"]
-        ]
-        assert strip(batched) == strip(reference)
-        assert batched["batch_docs"] == 4
-        assert reference["batch_docs"] is None
-
-    def test_batch_docs_must_be_positive(self, corpus_dir):
-        with pytest.raises(SystemExit, match="batch-docs"):
-            main(["batch", str(corpus_dir), "--batch-docs", "0"])
+    def test_batching_is_not_a_flag(self, corpus_dir, capsys):
+        """The engine groups documents into kernel calls on its own:
+        ``batch`` takes no ``--batch-docs`` and reports no such key."""
+        payload = _run_json(["batch", str(corpus_dir)], capsys)
+        assert "batch_docs" not in payload
+        with pytest.raises(SystemExit):
+            main(["batch", str(corpus_dir), "--batch-docs", "4"])
+        assert "--batch-docs" in capsys.readouterr().err
 
     def test_corrected_p_values_match_hand_bh(self, corpus_dir, capsys):
         """Recompute Benjamini-Hochberg from the raw p-values by hand."""
