@@ -11,8 +11,11 @@ measure, identical on every backend) and ``native_ns_per_eval``, which
 separates "fewer evaluations" (pruning) from "cheaper evaluations"
 (backend work).  ``mss`` rows time lone single-document scans;
 ``mine_batch`` and ``calibration`` rows run the native lane walker
-(four scans in flight on the calling thread), so their
+(scans in flight on the calling thread), so their
 ``native_ns_per_eval`` against the ``mss`` rows' is what the lanes buy.
+Every row records ``lane_step``, the lane walker's step on this CPU:
+``"avx2"`` (four lanes per vector instruction), ``"scalar"`` (four
+lanes in turn), or ``null`` when native resolved to numpy.
 
 Headline expectations (checked by ``--strict``, recorded in the JSON):
 
@@ -90,6 +93,11 @@ def _native_available():
     return get_backend("native").resolved_name == "native"
 
 
+def _lane_step():
+    """``NativeBackend.lane_step``: ``"avx2"``, ``"scalar"`` or ``None``."""
+    return get_backend("native").lane_step
+
+
 #: Repetitions per backend; the recorded time is the minimum, the
 #: standard way to strip scheduler/GC noise from single-process timings.
 REPEATS = {"python": 2, "numpy": 3, "native": 3}
@@ -116,6 +124,7 @@ def _row(kind, timings, parity_of, **fields):
     row = {
         "kind": kind,
         **fields,
+        "lane_step": _lane_step(),
         "python_seconds": python_seconds,
         "numpy_seconds": numpy_seconds,
         "speedup": python_seconds / numpy_seconds,
@@ -285,6 +294,7 @@ def summarise(cases, smoke=False):
         "cpu_count": os.cpu_count(),
         "default_backend": get_backend().name,
         "native_available": native_available,
+        "lane_step": _lane_step(),
         "thresholds": THRESHOLDS,
         "native_thresholds": NATIVE_THRESHOLDS,
         "min_speedup": minima,
@@ -330,6 +340,7 @@ def _render(payload, emit):
         f"Kernel backends ({payload['cpu_count']} cpu core(s), "
         f"default backend: {payload['default_backend']}, "
         f"native: {'yes' if payload['native_available'] else 'fallback'}, "
+        f"lane step: {payload['lane_step']}, "
         f"{'smoke' if payload['smoke'] else 'full'} mode):"
     )
     header = (

@@ -51,7 +51,7 @@ from repro.core.mss import find_mss
 from repro.core.results import SignificantSubstring
 from repro.core.threshold import find_above_threshold
 from repro.core.topt import find_top_t
-from repro.service.batcher import DEFAULT_BATCH_DOCS
+from repro.service import DEFAULT_BATCH_DOCS
 
 __all__ = ["main", "build_parser"]
 

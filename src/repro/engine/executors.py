@@ -7,9 +7,11 @@ documents on the compiled ``native`` kernels goes to the lane walker:
 each of the executor's threads makes one ``mine_batch`` call per
 (spec, model) group, and every call claims documents from the group's
 shared :class:`~repro.kernels.native_backend.ClaimCursor`.  mss and
-minlength keep four scans in flight per call, each lane claiming the
-next document, longest first, as it frees up; top-t and threshold
-claim one document per scan.  A thread that finds one group drained
+minlength keep four scans in flight per call (one AVX2 group where the
+CPU has it), each lane claiming the next document, longest first, as
+it frees up; a thread's first claims stripe across the threads, so the
+longest documents spread over them.  top-t and threshold claim one
+document per scan.  A thread that finds one group drained
 moves on to the next, so no thread idles while a group still has
 unclaimed documents.  A run of more than ``_WINDOW_DOCS`` documents per
 thread is indexed and mined one such window at a time.  ctypes
@@ -201,7 +203,8 @@ class ThreadExecutor:
         claim cursor per (spec, model) group; ``None`` where the
         deadline stopped the claims."""
         documents, groups = _index_groups(jobs)
-        cursors = [ClaimCursor(deadline) for _ in groups]
+        threads = min(self.workers, len(jobs))
+        cursors = [ClaimCursor(deadline, threads) for _ in groups]
 
         def drain(_) -> list:
             mined = []
@@ -214,7 +217,6 @@ class ThreadExecutor:
                 mined.append((pending, raws, time.perf_counter() - started))
             return mined
 
-        threads = min(self.workers, len(jobs))
         for mined in self.map(drain, range(threads)):
             for pending, raws, elapsed in mined:
                 claimed = [

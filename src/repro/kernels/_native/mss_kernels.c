@@ -16,30 +16,76 @@
  * The lane walker.  One X² evaluation is a single dependent chain
  * (prefix loads, sum, divide, k square roots and divides, then the
  * truncated jump that addresses the next load), so a lone scan leaves
- * the core mostly waiting.  ``walk_lanes`` keeps LANES best-substring
- * scans (mss, with its k = 2 fast path, and minlength) in flight and
- * advances each by one evaluation in turn, so the chains of different
- * documents (or calibration trials) overlap.  A free lane claims the
- * next slot from a cursor that every thread of a run shares.  Each lane
- * runs exactly the single-document scan's operations, so floats and
- * counters stay ``==``.  Two rules keep the lanes overlapping:
+ * the core mostly waiting.  ``walk`` keeps several best-substring scans
+ * (mss, with its k = 2 fast path, and minlength) in flight per call and
+ * advances each by one evaluation per step, so the chains of different
+ * documents (or calibration trials) overlap.  Each lane runs exactly the
+ * single-document scan's operations, so floats and counters stay ``==``.
+ * Two rules keep the lanes overlapping:
  *   - the root min has no ``break``: it runs over all k symbols.  The
  *     reference breaks only once the root is below 1, after which the
  *     min can only fall further, so no skip is taken either way, and a
  *     NaN root loses every ``<`` comparison in both forms.  With the
  *     break the lanes ran slower: at k = 4 the fastest of 11 runs took
  *     38 ns per evaluation, against 24 ns without;
- *   - ``y`` is re-read from the prefix matrix rather than kept in a
- *     per-lane counts buffer, so a lane's state does not grow with k
- *     (a buffered variant measured the same, 23.6-24.1 ns).
- * The lane step also advances with selects, not branches: a mispredicted
- * skip would flush all four lanes; a scan left with no company (a run
- * of one document, or the last scan of a run) has nothing to overlap
- * with and finishes with the lone step.  A lone scan (``scan_mss`` and
- * friends) shares the same arithmetic but keeps the reference's shape:
- * branches, which let it start its next evaluation speculatively, the
- * early ``break``, and a copy of row i's prefix counts at k > 2; each
- * measured faster for one chain alone.  LANES is a compile-time 4.
+ *   - a lane advances with selects, not branches: a mispredicted skip
+ *     would flush every lane in flight.
+ * A lone scan (``scan_mss`` and friends) shares the same arithmetic but
+ * keeps the reference's shape: branches, which let it start its next
+ * evaluation speculatively, the early ``break``, and a copy of row i's
+ * prefix counts at k > 2; each measured faster for one chain alone.
+ *
+ * Two lane steps.  The scalar step (``scan_visit`` with ``lanes``)
+ * advances LANES = 4 lanes one after another; ``y`` is re-read from the
+ * prefix matrix rather than kept per lane, so a lane's state does not
+ * grow with k.  The vector step (``vstep``) advances a group of four
+ * lanes with one AVX2 instruction per operation, so the divider and the
+ * square-root unit take four doubles at a time.  It is compiled under
+ * ``#if defined(__x86_64__)`` with ``__attribute__((target("avx2")))``
+ * (never ``"fma"``: contraction would change the roundings), and
+ * ``walk`` takes it when ``__builtin_cpu_supports("avx2")`` says the CPU
+ * has it; every other CPU, and a build with ``-DREPRO_SCALAR_LANES``
+ * (the test seam that keeps the scalar step covered on AVX2 hosts),
+ * runs the scalar step.  ``repro_lane_step`` reports which one runs.
+ * The vector step keeps bit-identity by these rules:
+ *   - each vector expression mirrors ``x2_generic``/``root_generic``
+ *     (the lanes form, with no early break) and ``x2_binary``/
+ *     ``root_binary`` operation for operation, in the same order;
+ *     vector add, sub, mul, div and sqrt round exactly like the scalar
+ *     ones, and negation flips the sign bit, as ``-b`` does;
+ *   - ``r < root ? r : root`` is ``_mm256_min_pd(r, root)`` and the
+ *     jump clamps ``rj < lim ? rj : lim`` and ``rj > 0.0 ? rj : 0.0`` are
+ *     ``_mm256_min_pd(rj, lim)`` and ``_mm256_max_pd(rj, 0)``: min/max
+ *     return their second operand unless the first compares strictly
+ *     below (above) it, which gives the C's NaN and +-0 results;
+ *   - int64 <-> double conversions use the 2^52 magic-number trick,
+ *     exact for 0 <= v < 2^52 (AVX2 has no ``cvtqq2pd``): counts, L and
+ *     n - e are all in that range; truncation is
+ *     ``_mm256_round_pd(..., _MM_FROUND_TO_ZERO)``;
+ *   - prefix counts are gathered with ``_mm256_mask_i64gather_epi64`` on
+ *     absolute addresses (each lane reads its own matrix), masked by the
+ *     group's live lanes so an idle lane reads nothing;
+ *   - a lane's k counts are gathered once per evaluation and kept for
+ *     the root loop, for k <= VECTOR_MAX_K; larger alphabets take the
+ *     scalar step.
+ * Documents run one vector group (four lanes) per call; calibration
+ * trials run two groups (eight lanes), which keeps the divider busy
+ * while one group waits on its gathers, and are compacted into one
+ * group once four or fewer are live.  The last two scans finish on the
+ * scalar step and the very last on the lone step: with nothing to
+ * overlap, a wide step only wastes lanes.
+ *
+ * Claims.  A run's slots (documents, longest first, or trials) are
+ * claimed through a ``cursor`` that every call of the run shares:
+ * ``cursor[0]`` is the next slot and ``cursor[1]`` the next seat, and
+ * ``taken`` holds one claim flag per slot, set by an atomic exchange, so
+ * every slot is claimed exactly once however many calls share the
+ * cursor.  Each call takes the next seat; a call of seat t < ``threads``
+ * starts its lane l on the striped slot l * threads + t (so the longest
+ * documents of a run spread over its threads instead of filling the
+ * first thread's lanes), and a lane whose striped slot is past the end
+ * starts idle.  Every later claim, and every claim of a seat at or past
+ * ``threads``, takes the cursor's next slot whose flag is still clear.
  *
  * Conventions shared by every entry point:
  *   - ``mat`` is a row-major (k, n + 1) int64 prefix-count matrix (the
@@ -48,9 +94,8 @@
  *     reciprocals, length k;
  *   - ``eps`` is ``repro.core.skip.ROOT_EPSILON`` (passed in so the
  *     constant has a single Python source of truth);
- *   - a ``cursor`` is one int64 that the threads of a run advance
- *     atomically; a ``budget`` is the seconds left before the run's
- *     deadline (INFINITY for none), checked before every claim;
+ *   - a ``budget`` is the seconds left before the run's deadline
+ *     (INFINITY for none), checked before every claim;
  *   - counters use int64; return codes: 0 ok, 1 allocation failure.
  */
 
@@ -61,7 +106,18 @@
 #include <stdlib.h>
 #include <time.h>
 
+#if defined(__x86_64__) && !defined(REPRO_SCALAR_LANES)
+#define REPRO_VECTOR_LANES 1
+#include <immintrin.h>
+#endif
+
+/* Lanes per scalar walk and per vector group. */
 #define LANES 4
+/* Vector groups per call: one for documents, two for trials. */
+#define DOC_GROUPS 1
+#define TRIAL_GROUPS 2
+/* The largest k whose counts the vector step keeps per lane. */
+#define VECTOR_MAX_K 32
 
 /* ------------------------------------------------------------------ */
 /* Chain-cover jump: Python's ``jump = int(root - eps); if e + jump > n:
@@ -187,6 +243,7 @@ typedef struct {
     double best;
     int64_t best_start, best_end, evaluated, skipped;
     int64_t slot;       /* the document or trial being scanned */
+    int64_t *buf;       /* trials: the lane's own prefix-matrix buffer */
 } scan_state;
 
 typedef struct {
@@ -347,20 +404,37 @@ static double expiry_of(double budget)
     return budget == INFINITY ? INFINITY : monotonic_seconds() + budget;
 }
 
-/* The next unclaimed slot below ``count``, or -1 once every slot is
- * claimed or the run's deadline has passed (then nothing is claimed). */
-static int64_t claim_slot(int64_t *cursor, int64_t count, double expires)
+/* Claim a slot below ``count``: ``stripe`` itself when it is >= 0 and
+ * still free (a lane's first claim; a stripe past the end claims
+ * nothing), else the cursor's next free slot.  -1 once the cursor has
+ * passed ``count`` or the run's deadline has passed (then nothing is
+ * claimed).                                                           */
+static int64_t claim_slot(int64_t *cursor, uint8_t *taken, int64_t count,
+                          double expires, int64_t stripe)
 {
     if (expires != INFINITY && monotonic_seconds() >= expires)
         return -1;
-    const int64_t slot = __atomic_fetch_add(cursor, 1, __ATOMIC_RELAXED);
-    return slot < count ? slot : -1;
+    if (stripe >= 0) {
+        if (stripe >= count)
+            return -1;
+        if (!__atomic_exchange_n(taken + stripe, 1, __ATOMIC_RELAXED))
+            return stripe;
+    }
+    for (;;) {
+        const int64_t slot = __atomic_fetch_add(cursor, 1, __ATOMIC_RELAXED);
+        if (slot >= count)
+            return -1;
+        if (!__atomic_exchange_n(taken + slot, 1, __ATOMIC_RELAXED))
+            return slot;
+    }
 }
 
 typedef struct {
     int64_t *cursor;
+    uint8_t *taken;
     int64_t count;
     double expires;
+    int64_t seat, threads; /* this call's stripe (seat < threads) */
     /* documents: one prefix matrix per slot */
     const int64_t *const *mats;
     const int64_t *ns;
@@ -403,22 +477,24 @@ static void scan_finish(claims *c, const scan_state *s)
     }
 }
 
-/* Start lane ``lane`` on the next slot; 0 once nothing is left.  A trial
- * builds its prefix matrix into the lane's own buffer.  A slot with no
- * rows (min_length > n) is finished on the spot.                      */
+/* Start a lane on ``stripe`` (see claim_slot) or the next free slot; 0
+ * once nothing is left for it.  A trial builds its prefix matrix into
+ * the lane's own buffer.  A slot with no rows (min_length > n) is
+ * finished on the spot, and the lane moves on to the cursor.          */
 static int lane_claim(claims *c, const scan_params *m, scan_state *s,
-                      int lane)
+                      int64_t stripe)
 {
     for (;;) {
-        const int64_t slot = claim_slot(c->cursor, c->count, c->expires);
+        const int64_t slot =
+            claim_slot(c->cursor, c->taken, c->count, c->expires, stripe);
+        stripe = -1;
         if (slot < 0) {
             s->mat = NULL;
             return 0;
         }
         if (c->codes) {
-            int64_t *mat = c->bufs + (int64_t)lane * m->k * (c->n + 1);
-            build_prefix(c->codes + slot * c->n, c->n, m->k, mat);
-            scan_start(s, m, mat, c->n, slot);
+            build_prefix(c->codes + slot * c->n, c->n, m->k, s->buf);
+            scan_start(s, m, s->buf, c->n, slot);
         } else {
             scan_start(s, m, c->mats[slot], c->ns[slot], slot);
         }
@@ -428,18 +504,31 @@ static int lane_claim(claims *c, const scan_params *m, scan_state *s,
     }
 }
 
-/* Keep LANES scans in flight until the claims run dry.  A scan left on
- * its own (a one-document run, or the last scan of a run) has nothing
- * to overlap with, so it finishes with the lone scan's step.          */
-static inline __attribute__((always_inline)) void
-walk_lanes(claims *c, const scan_params *m, const int binary)
+/* Give lanes [0, width) their buffers and first claims: lane l of seat
+ * t < threads starts on slot l * threads + t.  Returns the live lanes. */
+static int lanes_start(claims *c, const scan_params *m, scan_state *lanes,
+                       int width)
 {
-    scan_state lanes[LANES];
     int live = 0;
-    for (int l = 0; l < LANES; l++)
-        live += lane_claim(c, m, &lanes[l], l);
+    for (int l = 0; l < width; l++) {
+        lanes[l].buf = c->bufs ? c->bufs + (int64_t)l * m->k * (c->n + 1)
+                               : NULL;
+        const int64_t stripe =
+            c->seat < c->threads ? (int64_t)l * c->threads + c->seat : -1;
+        live += lane_claim(c, m, &lanes[l], stripe);
+    }
+    return live;
+}
+
+/* Advance the scalar lanes [0, width) until the claims run dry.  A scan
+ * left on its own (a one-document run, or the last scan of a run) has
+ * nothing to overlap with, so it finishes with the lone scan's step.  */
+static inline __attribute__((always_inline)) void
+lanes_run(claims *c, const scan_params *m, const int binary,
+          scan_state *lanes, int width, int live)
+{
     while (live > 0) {
-        for (int l = 0; l < LANES; l++) {
+        for (int l = 0; l < width; l++) {
             scan_state *s = &lanes[l];
             if (!s->mat)
                 continue;
@@ -451,19 +540,406 @@ walk_lanes(claims *c, const scan_params *m, const int binary)
             }
             if (s->i < 0) {
                 scan_finish(c, s);
-                if (!lane_claim(c, m, s, l))
+                if (!lane_claim(c, m, s, -1))
                     live -= 1;
             }
         }
     }
 }
 
-static void walk(claims *c, const scan_params *m, int binary)
+static void walk_scalar(claims *c, const scan_params *m, int binary)
 {
+    scan_state lanes[LANES];
+    const int live = lanes_start(c, m, lanes, LANES);
     if (binary)
-        walk_lanes(c, m, 1);
+        lanes_run(c, m, 1, lanes, LANES, live);
     else
-        walk_lanes(c, m, 0);
+        lanes_run(c, m, 0, lanes, LANES, live);
+}
+
+#ifdef REPRO_VECTOR_LANES
+/* ------------------------------------------------------------------ */
+/* The vector step: four lanes per AVX2 instruction (rules in the
+ * header).                                                            */
+
+#define AVX2 __attribute__((target("avx2")))
+#define AVX2_INLINE static inline __attribute__((always_inline, target("avx2")))
+
+/* One group of LANES scans, one lane per 64-bit element. */
+typedef struct {
+    __m256i base, stride; /* the lane's matrix address and row stride, bytes */
+    __m256i n, i, e;
+    __m256d best;
+    __m256i best_start, best_end, evaluated, skipped;
+    __m256i live;         /* all ones on a live lane */
+} vgroup;
+
+/* The model, per symbol, as the scalar expressions compute it. */
+typedef struct {
+    int64_t k, off;
+    double eps;
+    double inv_p[VECTOR_MAX_K], probs[VECTOR_MAX_K];
+    double two_a[VECTOR_MAX_K], four_a[VECTOR_MAX_K]; /* 2.0 * a, 4.0 * a */
+    double p0, p1, inv_lp, two_p0, two_p1, four_p0, four_p1;
+} vmodel;
+
+static void vmodel_of(vmodel *v, const scan_params *m)
+{
+    v->k = m->k;
+    v->off = m->off;
+    v->eps = m->eps;
+    for (int64_t j = 0; j < m->k; j++) {
+        const double a = 1.0 - m->probs[j];
+        v->inv_p[j] = m->inv_p[j];
+        v->probs[j] = m->probs[j];
+        v->two_a[j] = 2.0 * a;
+        v->four_a[j] = 4.0 * a;
+    }
+    v->p0 = m->bm.p0;
+    v->p1 = m->bm.p1;
+    v->inv_lp = m->bm.inv_lp;
+    v->two_p0 = m->bm.two_p0;
+    v->two_p1 = m->bm.two_p1;
+    v->four_p0 = 4.0 * m->bm.p0;
+    v->four_p1 = 4.0 * m->bm.p1;
+}
+
+#define MAGIC 4503599627370496.0 /* 2^52 */
+
+/* Exact for 0 <= v < 2^52. */
+AVX2_INLINE __m256d i64_to_f64(__m256i v)
+{
+    const __m256d magic = _mm256_set1_pd(MAGIC);
+    return _mm256_sub_pd(
+        _mm256_castsi256_pd(_mm256_or_si256(v, _mm256_castpd_si256(magic))),
+        magic);
+}
+
+/* Exact for integral 0 <= v < 2^52. */
+AVX2_INLINE __m256i f64_to_i64(__m256d v)
+{
+    const __m256d magic = _mm256_set1_pd(MAGIC);
+    return _mm256_xor_si256(_mm256_castpd_si256(_mm256_add_pd(v, magic)),
+                            _mm256_castpd_si256(magic));
+}
+
+/* Prefix count at byte offset ``pos8`` of row address ``row``. */
+AVX2_INLINE __m256i vgather(__m256i row, __m256i pos8, __m256i live)
+{
+    return _mm256_mask_i64gather_epi64(
+        _mm256_setzero_si256(), (const long long *)0,
+        _mm256_add_epi64(row, pos8), live, 1);
+}
+
+/* One evaluation on every lane of ``g``: scan_visit's lanes form. */
+AVX2_INLINE void vstep(vgroup *g, const vmodel *v, const int binary,
+                       __m256d *ys)
+{
+    const __m256d one = _mm256_set1_pd(1.0);
+    const __m256d two = _mm256_set1_pd(2.0);
+    const __m256d sign = _mm256_set1_pd(-0.0);
+    const __m256i one_i = _mm256_set1_epi64x(1);
+    const __m256i i8 = _mm256_slli_epi64(g->i, 3);
+    const __m256i e8 = _mm256_slli_epi64(g->e, 3);
+    const __m256d L = i64_to_f64(_mm256_sub_epi64(g->e, g->i));
+    __m256d x2, y1 = L;
+    if (binary) {
+        const __m256i row1 = _mm256_add_epi64(g->base, g->stride);
+        y1 = i64_to_f64(_mm256_sub_epi64(vgather(row1, e8, g->live),
+                                         vgather(row1, i8, g->live)));
+        const __m256d d =
+            _mm256_sub_pd(y1, _mm256_mul_pd(L, _mm256_set1_pd(v->p1)));
+        x2 = _mm256_div_pd(
+            _mm256_mul_pd(_mm256_mul_pd(d, d), _mm256_set1_pd(v->inv_lp)), L);
+    } else {
+        __m256i row = g->base;
+        __m256d total = _mm256_setzero_pd();
+        for (int64_t j = 0; j < v->k; j++) {
+            const __m256d y = i64_to_f64(_mm256_sub_epi64(
+                vgather(row, e8, g->live), vgather(row, i8, g->live)));
+            ys[j] = y;
+            total = _mm256_add_pd(
+                total, _mm256_mul_pd(_mm256_mul_pd(y, y),
+                                     _mm256_set1_pd(v->inv_p[j])));
+            row = _mm256_add_epi64(row, g->stride);
+        }
+        x2 = _mm256_sub_pd(_mm256_div_pd(total, L), L);
+    }
+    g->evaluated = _mm256_add_epi64(g->evaluated, one_i);
+    const __m256d better = _mm256_cmp_pd(x2, g->best, _CMP_GT_OQ);
+    const __m256i better_i = _mm256_castpd_si256(better);
+    g->best = _mm256_blendv_pd(g->best, x2, better);
+    g->best_start = _mm256_blendv_epi8(g->best_start, g->i, better_i);
+    g->best_end = _mm256_blendv_epi8(g->best_end, g->e, better_i);
+    const __m256d best = g->best;
+    const __m256d c_common = _mm256_mul_pd(_mm256_sub_pd(x2, best), L);
+    __m256d root;
+    if (binary) {
+        const __m256d p0 = _mm256_set1_pd(v->p0);
+        const __m256d p1 = _mm256_set1_pd(v->p1);
+        const __m256d y0 = _mm256_sub_pd(L, y1);
+        const __m256d b0 = _mm256_sub_pd(
+            _mm256_sub_pd(_mm256_mul_pd(two, y0),
+                          _mm256_mul_pd(L, _mm256_set1_pd(v->two_p0))),
+            _mm256_mul_pd(p0, best));
+        const __m256d c0 = _mm256_mul_pd(c_common, p0);
+        const __m256d r0 = _mm256_div_pd(
+            _mm256_add_pd(
+                _mm256_xor_pd(b0, sign),
+                _mm256_sqrt_pd(_mm256_sub_pd(
+                    _mm256_mul_pd(b0, b0),
+                    _mm256_mul_pd(_mm256_set1_pd(v->four_p1), c0)))),
+            _mm256_set1_pd(v->two_p1));
+        const __m256d b1 = _mm256_sub_pd(
+            _mm256_sub_pd(_mm256_mul_pd(two, y1),
+                          _mm256_mul_pd(L, _mm256_set1_pd(v->two_p1))),
+            _mm256_mul_pd(p1, best));
+        const __m256d c1 = _mm256_mul_pd(c_common, p1);
+        const __m256d r1 = _mm256_div_pd(
+            _mm256_add_pd(
+                _mm256_xor_pd(b1, sign),
+                _mm256_sqrt_pd(_mm256_sub_pd(
+                    _mm256_mul_pd(b1, b1),
+                    _mm256_mul_pd(_mm256_set1_pd(v->four_p0), c1)))),
+            _mm256_set1_pd(v->two_p0));
+        root = _mm256_min_pd(r0, r1);
+    } else {
+        const __m256d two_L = _mm256_mul_pd(two, L);
+        root = _mm256_set1_pd(INFINITY);
+        for (int64_t j = 0; j < v->k; j++) {
+            const __m256d p = _mm256_set1_pd(v->probs[j]);
+            const __m256d b = _mm256_sub_pd(
+                _mm256_sub_pd(_mm256_mul_pd(two, ys[j]),
+                              _mm256_mul_pd(two_L, p)),
+                _mm256_mul_pd(p, best));
+            const __m256d c = _mm256_mul_pd(c_common, p);
+            const __m256d r = _mm256_div_pd(
+                _mm256_add_pd(
+                    _mm256_xor_pd(b, sign),
+                    _mm256_sqrt_pd(_mm256_sub_pd(
+                        _mm256_mul_pd(b, b),
+                        _mm256_mul_pd(_mm256_set1_pd(v->four_a[j]), c)))),
+                _mm256_set1_pd(v->two_a[j]));
+            root = _mm256_min_pd(r, root);
+        }
+    }
+    /* The scalar lanes' branch-free safe_jump, lane by lane. */
+    const __m256d lim = i64_to_f64(_mm256_sub_epi64(g->n, g->e));
+    __m256d rj = _mm256_sub_pd(root, _mm256_set1_pd(v->eps));
+    rj = _mm256_min_pd(rj, lim);
+    rj = _mm256_max_pd(rj, _mm256_setzero_pd());
+    const __m256i jump = _mm256_and_si256(
+        f64_to_i64(_mm256_round_pd(rj, _MM_FROUND_TO_ZERO |
+                                           _MM_FROUND_NO_EXC)),
+        _mm256_castpd_si256(_mm256_cmp_pd(root, one, _CMP_GE_OQ)));
+    g->skipped = _mm256_add_epi64(g->skipped, jump);
+    const __m256i next =
+        _mm256_add_epi64(_mm256_add_epi64(g->e, jump), one_i);
+    const __m256i row_done = _mm256_cmpgt_epi64(next, g->n);
+    g->i = _mm256_add_epi64(g->i, row_done); /* i - 1 on a finished row */
+    g->e = _mm256_blendv_epi8(
+        next, _mm256_add_epi64(g->i, _mm256_set1_epi64x(v->off)), row_done);
+}
+
+/* Move the live lanes of [0, width) to the front; idle lanes keep their
+ * buffers, so every lane still owns exactly one.                      */
+AVX2 static void lanes_compact(scan_state *lanes, int width)
+{
+    int front = 0;
+    for (int l = 0; l < width; l++) {
+        if (!lanes[l].mat)
+            continue;
+        if (l != front) {
+            const scan_state moved = lanes[front];
+            lanes[front] = lanes[l];
+            lanes[l] = moved;
+        }
+        front += 1;
+    }
+}
+
+/* Lanes [0, LANES) of ``lanes`` as a vector group, and back.  An idle
+ * lane loads as zeros: its gathers are masked off and its results are
+ * never stored.                                                       */
+AVX2_INLINE void vgroup_load(vgroup *g, const scan_state *lanes)
+{
+    int64_t base[LANES], stride[LANES], n[LANES], i[LANES], e[LANES];
+    int64_t start[LANES], end[LANES], evaluated[LANES], skipped[LANES];
+    int64_t live[LANES];
+    double best[LANES];
+    for (int l = 0; l < LANES; l++) {
+        const scan_state *s = &lanes[l];
+        live[l] = s->mat ? -1 : 0;
+        if (!s->mat) {
+            base[l] = stride[l] = n[l] = i[l] = e[l] = 0;
+            start[l] = end[l] = evaluated[l] = skipped[l] = 0;
+            best[l] = 0.0;
+            continue;
+        }
+        base[l] = (int64_t)(uintptr_t)s->mat;
+        stride[l] = (s->n + 1) * (int64_t)sizeof(int64_t);
+        n[l] = s->n;
+        i[l] = s->i;
+        e[l] = s->e;
+        best[l] = s->best;
+        start[l] = s->best_start;
+        end[l] = s->best_end;
+        evaluated[l] = s->evaluated;
+        skipped[l] = s->skipped;
+    }
+#define LOAD(v) _mm256_loadu_si256((const __m256i *)(v))
+    g->base = LOAD(base);
+    g->stride = LOAD(stride);
+    g->n = LOAD(n);
+    g->i = LOAD(i);
+    g->e = LOAD(e);
+    g->best = _mm256_loadu_pd(best);
+    g->best_start = LOAD(start);
+    g->best_end = LOAD(end);
+    g->evaluated = LOAD(evaluated);
+    g->skipped = LOAD(skipped);
+    g->live = LOAD(live);
+#undef LOAD
+}
+
+AVX2_INLINE void vgroup_store(const vgroup *g, scan_state *lanes)
+{
+    int64_t i[LANES], e[LANES], start[LANES], end[LANES];
+    int64_t evaluated[LANES], skipped[LANES];
+    double best[LANES];
+#define STORE(p, v) _mm256_storeu_si256((__m256i *)(p), (v))
+    STORE(i, g->i);
+    STORE(e, g->e);
+    STORE(start, g->best_start);
+    STORE(end, g->best_end);
+    STORE(evaluated, g->evaluated);
+    STORE(skipped, g->skipped);
+    _mm256_storeu_pd(best, g->best);
+#undef STORE
+    for (int l = 0; l < LANES; l++) {
+        scan_state *s = &lanes[l];
+        if (!s->mat)
+            continue;
+        s->i = i[l];
+        s->e = e[l];
+        s->best = best[l];
+        s->best_start = start[l];
+        s->best_end = end[l];
+        s->evaluated = evaluated[l];
+        s->skipped = skipped[l];
+    }
+}
+
+/* The live lanes of ``g`` whose scan is done (i < 0), as a bit mask. */
+AVX2_INLINE int vdone(const vgroup *g)
+{
+    const __m256i done =
+        _mm256_and_si256(_mm256_cmpgt_epi64(_mm256_setzero_si256(), g->i),
+                         g->live);
+    return _mm256_movemask_pd(_mm256_castsi256_pd(done));
+}
+
+/* Step ``groups`` vector groups over lanes [0, groups * LANES) until a
+ * scan finishes; returns the finished lanes as a bit mask.            */
+AVX2_INLINE int vsteps(scan_state *lanes, const vmodel *v, const int binary,
+                       const int groups)
+{
+    __m256d ys_a[VECTOR_MAX_K], ys_b[VECTOR_MAX_K];
+    vgroup a, b;
+    vgroup_load(&a, lanes);
+    if (groups == 2)
+        vgroup_load(&b, lanes + LANES);
+    int done;
+    for (;;) {
+        vstep(&a, v, binary, ys_a);
+        if (groups == 2)
+            vstep(&b, v, binary, ys_b);
+        done = vdone(&a);
+        if (groups == 2)
+            done |= vdone(&b) << LANES;
+        if (done)
+            break;
+    }
+    vgroup_store(&a, lanes);
+    if (groups == 2)
+        vgroup_store(&b, lanes + LANES);
+    return done;
+}
+
+/* ``walk`` on the vector step: ``groups`` groups while more than two
+ * scans are live, then the scalar lanes for the last two.            */
+AVX2_INLINE void walk_vector_as(claims *c, const scan_params *m,
+                                const int binary, int groups)
+{
+    scan_state lanes[TRIAL_GROUPS * LANES];
+    vmodel v;
+    vmodel_of(&v, m);
+    int live = lanes_start(c, m, lanes, groups * LANES);
+    while (live > 2) {
+        if (groups == 2 && live <= LANES) {
+            lanes_compact(lanes, 2 * LANES);
+            groups = 1;
+        }
+        const int done = groups == 2 ? vsteps(lanes, &v, binary, 2)
+                                     : vsteps(lanes, &v, binary, 1);
+        for (int l = 0; l < groups * LANES; l++) {
+            if (!(done >> l & 1))
+                continue;
+            scan_finish(c, &lanes[l]);
+            if (!lane_claim(c, m, &lanes[l], -1))
+                live -= 1;
+        }
+    }
+    lanes_compact(lanes, groups * LANES);
+    lanes_run(c, m, binary, lanes, live, live);
+}
+
+AVX2 static void walk_vector_binary(claims *c, const scan_params *m,
+                                    int groups)
+{
+    walk_vector_as(c, m, 1, groups);
+}
+
+AVX2 static void walk_vector_generic(claims *c, const scan_params *m,
+                                     int groups)
+{
+    walk_vector_as(c, m, 0, groups);
+}
+#endif /* REPRO_VECTOR_LANES */
+
+/* Whether ``walk`` takes the vector step at alphabet size ``k``. */
+static int vector_step_for(int64_t k)
+{
+#ifdef REPRO_VECTOR_LANES
+    __builtin_cpu_init();
+    return k <= VECTOR_MAX_K && __builtin_cpu_supports("avx2");
+#else
+    (void)k;
+    return 0;
+#endif
+}
+
+/* Lanes per call: ``groups`` vector groups, or the scalar LANES. */
+static int lanes_for(int64_t k, int groups)
+{
+    return vector_step_for(k) ? groups * LANES : LANES;
+}
+
+/* Mine the claims on this call's lanes, taking the next seat. */
+static void walk(claims *c, const scan_params *m, int binary, int groups)
+{
+    c->seat = __atomic_fetch_add(c->cursor + 1, 1, __ATOMIC_RELAXED);
+#ifdef REPRO_VECTOR_LANES
+    if (vector_step_for(m->k)) {
+        if (binary)
+            walk_vector_binary(c, m, groups);
+        else
+            walk_vector_generic(c, m, groups);
+        return;
+    }
+#endif
+    (void)groups;
+    walk_scalar(c, m, binary);
 }
 
 /* ------------------------------------------------------------------ */
@@ -698,52 +1174,66 @@ void repro_free(void *ptr)
     free(ptr);
 }
 
-/* The next of ``count`` slots from a shared ``cursor`` (see claim_slot),
- * for callers that scan each claimed document themselves: the Python
- * ``ClaimCursor.claim``, so it and the lanes share one claim rule.    */
-int64_t repro_claim(int64_t *cursor, int64_t count, double budget)
+/* The next free slot below ``count`` from a shared ``cursor`` and its
+ * ``taken`` flags (see claim_slot), for callers that scan each claimed
+ * document themselves: the Python ``ClaimCursor.claim``, so it and the
+ * lanes share one claim rule.  Takes no seat and no stripe.           */
+int64_t repro_claim(int64_t *cursor, uint8_t *taken, int64_t count,
+                    double budget)
 {
-    return claim_slot(cursor, count, expiry_of(budget));
+    return claim_slot(cursor, taken, count, expiry_of(budget), -1);
 }
 
-/* Best-substring scans of ``docs`` documents on LANES lanes.  Slot s is
- * the document with prefix matrix ``mats[s]`` and length ``ns[s]``;
- * lanes claim slots from ``cursor`` until they run out or ``budget``
- * seconds pass, and a claimed slot's best, (start, end) and (evaluated,
- * skipped) land at index s of the outputs (pairs at 2s, 2s + 1).  Calls
- * on several threads may share one cursor: each slot goes to exactly
- * one lane.  ``off`` is 1 for mss (``binary`` selects the k == 2 fast
- * path) and min_length for minlength.                                 */
+/* Which lane step ``walk`` takes on this CPU (for k <= VECTOR_MAX_K):
+ * 1 for the AVX2 vector step, 0 for the scalar lanes.                 */
+int32_t repro_lane_step(void)
+{
+    return vector_step_for(1);
+}
+
+/* Best-substring scans of ``docs`` documents on this call's lanes.  Slot
+ * s is the document with prefix matrix ``mats[s]`` and length ``ns[s]``;
+ * lanes claim slots (see Claims in the header: ``cursor``, ``taken`` and
+ * the run's ``threads``) until they run out or ``budget`` seconds pass,
+ * and a claimed slot's best, (start, end) and (evaluated, skipped) land
+ * at index s of the outputs (pairs at 2s, 2s + 1).  Calls on several
+ * threads may share one cursor: each slot goes to exactly one lane.
+ * ``off`` is 1 for mss (``binary`` selects the k == 2 fast path) and
+ * min_length for minlength.                                           */
 int32_t repro_mine_lanes(const int64_t *const *mats, const int64_t *ns,
-                         int64_t docs, int64_t *cursor, double budget,
-                         int64_t k, const double *probs, const double *inv_p,
+                         int64_t docs, int64_t *cursor, uint8_t *taken,
+                         int64_t threads, double budget, int64_t k,
+                         const double *probs, const double *inv_p,
                          int64_t off, int32_t binary, double eps,
                          double *out_best, int64_t *out_pos,
                          int64_t *out_work)
 {
     const scan_params m = params_of(k, probs, inv_p, off, binary, eps);
-    claims c = {cursor, docs, expiry_of(budget), mats, ns, NULL, 0, NULL,
-                out_best, out_pos, out_work};
-    walk(&c, &m, binary);
+    claims c = {cursor, taken, docs, expiry_of(budget), 0, threads,
+                mats, ns, NULL, 0, NULL, out_best, out_pos, out_work};
+    walk(&c, &m, binary, DOC_GROUPS);
     return 0;
 }
 
 /* Monte-Carlo calibration: ``codes`` is (t, n) row-major encoded null
- * draws.  Lanes claim trials from ``cursor``, build each trial's prefix
- * matrix into their own buffer and run the full mss scan, writing X²max
- * into out_best[trial].  Calls on several threads may share a cursor. */
+ * draws.  Lanes claim trials as ``repro_mine_lanes`` claims documents,
+ * build each trial's prefix matrix into their own buffer and run the
+ * full mss scan, writing X²max into out_best[trial].  Calls on several
+ * threads may share a cursor.                                         */
 int32_t repro_calibrate_lanes(const int64_t *codes, int64_t t, int64_t n,
                               int64_t k, const double *probs,
                               const double *inv_p, double eps,
-                              int64_t *cursor, double *out_best)
+                              int64_t *cursor, uint8_t *taken,
+                              int64_t threads, double *out_best)
 {
-    int64_t *bufs = malloc((size_t)(LANES * k * (n + 1)) * sizeof(int64_t));
+    const int64_t lanes = lanes_for(k, TRIAL_GROUPS);
+    int64_t *bufs = malloc((size_t)(lanes * k * (n + 1)) * sizeof(int64_t));
     if (!bufs)
         return 1;
     const scan_params m = params_of(k, probs, inv_p, 1, k == 2, eps);
-    claims c = {cursor, t, INFINITY, NULL, NULL, codes, n, bufs,
-                out_best, NULL, NULL};
-    walk(&c, &m, k == 2);
+    claims c = {cursor, taken, t, INFINITY, 0, threads, NULL, NULL,
+                codes, n, bufs, out_best, NULL, NULL};
+    walk(&c, &m, k == 2, TRIAL_GROUPS);
     free(bufs);
     return 0;
 }

@@ -41,14 +41,19 @@ Lanes
 -----
 
 ``mine_batch`` (mss and minlength) and ``simulate_x2max`` run on the C
-lane walker: each call keeps four best-substring scans in flight and
-advances them one X² evaluation at a time in turn, so the dependent
-chains of four documents (or calibration trials) overlap on one core.
-A free lane claims the next document, longest first, or the next
-trial, from a :class:`ClaimCursor` that every thread of a run shares.
-Each lane runs exactly the single-document scan's operations, so the
-results stay bit-identical; ``mss_kernels.c`` explains the two rules
-that let the scans overlap.
+lane walker: each call keeps several best-substring scans in flight and
+advances them one X² evaluation at a time, so the dependent chains of
+different documents (or calibration trials) overlap on one core.  On a
+CPU with AVX2 a step advances a group of four lanes with one vector
+instruction per operation -- one group for documents, two (eight
+trials) for calibration; elsewhere four scalar lanes take turns.
+:attr:`NativeBackend.lane_step` says which (``"avx2"`` or
+``"scalar"``).  Lanes claim documents, longest first, or trials from a
+:class:`ClaimCursor` that every thread of a run shares; a thread's
+first claims are striped across the run's threads, so the longest
+documents do not all land on one thread.  Each lane runs exactly the
+single-document scan's operations, so the results stay bit-identical;
+``mss_kernels.c`` gives the rules that keep them so.
 
 Fallback ladder
 ---------------
@@ -96,7 +101,7 @@ CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 #: Bumped whenever the exported C ABI changes, so stale cached artifacts
 #: from an older layout are never loaded.
-_ABI_TAG = "repro-native-v2"
+_ABI_TAG = "repro-native-v3"
 
 _PI64 = ctypes.POINTER(ctypes.c_int64)
 _PF64 = ctypes.POINTER(ctypes.c_double)
@@ -172,6 +177,7 @@ def _compile(cc: str, artifact: Path) -> None:
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     """Declare the ctypes signatures of every exported entry point."""
     i64, f64, i32 = ctypes.c_int64, ctypes.c_double, ctypes.c_int32
+    ptr = ctypes.c_void_p
     lib.repro_scan_mss.restype = i32
     lib.repro_scan_mss.argtypes = [
         _PI64, i64, i64, _PF64, _PF64, f64, _PF64, _PI64, _PI64,
@@ -193,15 +199,17 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.repro_free.restype = None
     lib.repro_free.argtypes = [ctypes.c_void_p]
     lib.repro_claim.restype = i64
-    lib.repro_claim.argtypes = [_PI64, i64, f64]
+    lib.repro_claim.argtypes = [ptr, ptr, i64, f64]
+    lib.repro_lane_step.restype = i32
+    lib.repro_lane_step.argtypes = []
     lib.repro_mine_lanes.restype = i32
     lib.repro_mine_lanes.argtypes = [
-        ctypes.c_void_p, _PI64, i64, _PI64, f64, i64, _PF64, _PF64, i64,
+        ptr, _PI64, i64, ptr, ptr, i64, f64, i64, _PF64, _PF64, i64,
         i32, f64, _PF64, _PI64, _PI64,
     ]
     lib.repro_calibrate_lanes.restype = i32
     lib.repro_calibrate_lanes.argtypes = [
-        _PI64, i64, i64, i64, _PF64, _PF64, f64, _PI64, _PF64,
+        _PI64, i64, i64, i64, _PF64, _PF64, f64, ptr, ptr, i64, _PF64,
     ]
     return lib
 
@@ -264,33 +272,70 @@ def _model_arrays(model) -> tuple[np.ndarray, np.ndarray]:
     return probs, 1.0 / probs
 
 
+#: Guards the first allocation of a shared cursor's claim flags.
+_FLAGS_LOCK = threading.Lock()
+
+
 class ClaimCursor:
     """The next unclaimed document or trial of one run.
 
-    Every thread that mines the run shares the cursor.  The C lanes and
-    :meth:`claim` both take slots through ``claim_slot`` in
-    ``mss_kernels.c``, one atomic increment per claim, so each slot goes
-    to exactly one claimant.  With a ``deadline`` (a
-    :class:`~repro.engine.deadline.Deadline`) nothing is claimed once it
-    has passed; a document already claimed still finishes.
+    Every call that mines the run shares the cursor: the C lanes and
+    :meth:`claim` take slots through ``claim_slot`` in
+    ``mss_kernels.c``, which sets one claim flag per slot by an atomic
+    exchange, so each slot goes to exactly one claimant however many
+    calls share the cursor.  ``threads`` is how many lane calls the run
+    makes: each call takes the next seat, and the lanes of seat t start
+    on the striped slots l * threads + t, so the longest documents of a
+    run spread over its threads; a seat at or past ``threads`` (more
+    calls than announced) claims from the cursor alone, and a slot left
+    by a seat that never comes is claimed from the cursor too.  With a
+    ``deadline`` (a :class:`~repro.engine.deadline.Deadline`) nothing is
+    claimed once it has passed; a document already claimed still
+    finishes.  Every call sharing a cursor claims from the same number
+    of slots.
     """
 
-    __slots__ = ("deadline", "next")
+    __slots__ = ("deadline", "threads", "next", "taken", "_addresses")
 
-    def __init__(self, deadline=None) -> None:
+    def __init__(self, deadline=None, threads: int = 1) -> None:
         self.deadline = deadline
-        self.next = np.zeros(1, dtype=np.int64)
+        self.threads = max(1, int(threads))
+        self.next = np.zeros(2, dtype=np.int64)  # next slot, next seat
+        self.taken: np.ndarray | None = None  # one claim flag per slot
+        self._addresses: tuple[int, int] | None = None
 
     def budget(self) -> float:
         """Seconds left before the deadline (``inf`` without one)."""
         return math.inf if self.deadline is None else self.deadline.remaining()
 
-    def claim(self, count: int) -> int | None:
-        """The next slot below ``count``, or ``None`` once they are all
-        claimed or the deadline has passed.  Needs the native library."""
-        slot = _require_lib().repro_claim(
-            self.next.ctypes.data_as(_PI64), count, self.budget()
-        )
+    def addresses(self, count: int) -> tuple[int, int]:
+        """The C view of a run of ``count`` slots: the addresses of the
+        cursor (next slot, next seat) and of its claim flags, allocated
+        on first use."""
+        addresses = self._addresses
+        if addresses is None:
+            with _FLAGS_LOCK:
+                if self._addresses is None:
+                    self.taken = np.zeros(count, dtype=np.uint8)
+                    self._addresses = (
+                        self.next.ctypes.data, self.taken.ctypes.data
+                    )
+                addresses = self._addresses
+        if len(self.taken) != count:
+            raise ValueError(
+                f"cursor claims {len(self.taken)} slots, not {count}"
+            )
+        return addresses
+
+    def claim(self, count: int, lib: ctypes.CDLL | None = None) -> int | None:
+        """The next free slot below ``count``, or ``None`` once they are
+        all claimed or the deadline has passed.  Runs on ``lib``, the
+        loaded native library (a backend passes its own; without one
+        the library is looked up)."""
+        if lib is None:
+            lib = _require_lib()
+        cursor, taken = self.addresses(count)
+        slot = lib.repro_claim(cursor, taken, count, self.budget())
         return slot if slot >= 0 else None
 
 
@@ -305,10 +350,12 @@ def _native_x2max_chunk(sub, n, k, probabilities, cursor, out):
     lib = _require_lib()
     probs = np.ascontiguousarray(probabilities, dtype=np.float64)
     inv_p = 1.0 / probs
+    trials = int(sub.shape[0])
+    next_slot, taken = cursor.addresses(trials)
     rc = lib.repro_calibrate_lanes(
-        sub.ctypes.data_as(_PI64), int(sub.shape[0]), int(n), int(k),
+        sub.ctypes.data_as(_PI64), trials, int(n), int(k),
         probs.ctypes.data_as(_PF64), inv_p.ctypes.data_as(_PF64),
-        ROOT_EPSILON, cursor.next.ctypes.data_as(_PI64),
+        ROOT_EPSILON, next_slot, taken, cursor.threads,
         out.ctypes.data_as(_PF64),
     )
     if rc != 0:
@@ -320,10 +367,13 @@ def _parity_self_check(backend: "NativeBackend") -> str | None:
 
     Runs all four scans, the lane walker (``mine_batch`` on mss and
     minlength) and calibration on deterministic strings at k = 2 and
-    k = 3 and compares raw tuples with ``==``.  Returns ``None`` on
-    success or a reason string -- a compiler that mis-rounds (or a
-    corrupt artifact) is caught here and demoted to the numpy fallback
-    rather than serving wrong results.
+    k = 3 and compares raw tuples with ``==``.  The lane checks run the
+    step :attr:`NativeBackend.lane_step` names, vector or scalar: the
+    batch keeps four mss and three minlength scans in flight, and the
+    six trials fill one vector group and part of another.  Returns
+    ``None`` on success or a reason string -- a compiler that
+    mis-rounds (or a corrupt artifact) is caught here and demoted to
+    the numpy fallback rather than serving wrong results.
     """
     from types import SimpleNamespace
 
@@ -435,6 +485,17 @@ class NativeBackend:
         """Why the backend degraded to numpy, or ``None`` when native."""
         self._ensure()
         return self._fallback_reason
+
+    @property
+    def lane_step(self) -> str | None:
+        """The lane walker's step on this CPU: ``"avx2"`` (four lanes per
+        vector instruction) or ``"scalar"`` (no AVX2, or a build with
+        ``-DREPRO_SCALAR_LANES``); ``None`` when the backend resolved to
+        numpy."""
+        self._ensure()
+        if self._lib is None:
+            return None
+        return "avx2" if self._lib.repro_lane_step() else "scalar"
 
     # -- scan methods -------------------------------------------------
 
@@ -562,7 +623,8 @@ class NativeBackend:
         """Mine a corpus chunk (the ``mine_batch`` contract).
 
         mss and minlength run on the C lane walker: four scans in
-        flight per call, each lane claiming the next document, longest
+        flight per call (one AVX2 group where :attr:`lane_step` is
+        ``"avx2"``), each lane claiming the next document, longest
         first, when it frees up (a scan left alone finishes with the
         lone scan's step, and a single document is one lone scan).
         top-t and threshold claim documents the same way but scan each
@@ -592,7 +654,7 @@ class NativeBackend:
         if spec.problem in ("mss", "minlength"):
             return self._mine_lanes(indexes, order, model, spec, cursor)
         raws = [None] * len(indexes)
-        while (slot := cursor.claim(len(order))) is not None:
+        while (slot := cursor.claim(len(order), self._lib)) is not None:
             doc = order[slot]
             raws[doc] = mine_reference(self, indexes[doc], model, spec)
         return raws
@@ -609,13 +671,14 @@ class NativeBackend:
         docs = len(order)
         probs, inv_p = _model_arrays(model)
         mss = spec.problem == "mss"
+        next_slot, taken = cursor.addresses(docs)
         out_best = np.empty(docs, dtype=np.float64)
         out_pos = np.empty(2 * docs, dtype=np.int64)
         out_work = np.full(2 * docs, -1, dtype=np.int64)
         rc = self._lib.repro_mine_lanes(
             pointers.ctypes.data_as(ctypes.c_void_p),
-            lengths.ctypes.data_as(_PI64), docs,
-            cursor.next.ctypes.data_as(_PI64), cursor.budget(), model.k,
+            lengths.ctypes.data_as(_PI64), docs, next_slot, taken,
+            cursor.threads, cursor.budget(), model.k,
             probs.ctypes.data_as(_PF64), inv_p.ctypes.data_as(_PF64),
             1 if mss else int(spec.min_length), int(mss and model.k == 2),
             ROOT_EPSILON, out_best.ctypes.data_as(_PF64),
@@ -636,10 +699,11 @@ class NativeBackend:
     def simulate_x2max(self, model, n, trials, seed, executor=None):
         """Monte-Carlo X²max samples through ``_simulate_chunked``,
         bit-identical to the reference.  Draws stay sequential there;
-        each chunk's trials are claimed by C lanes, which build their
-        trial's prefix matrix when they claim it.  With an
-        ``executor``, ``executor.threads(self)`` calls on its pool share
-        each chunk's cursor."""
+        each chunk's trials are claimed by C lanes (eight per call where
+        :attr:`lane_step` is ``"avx2"``), which build their trial's
+        prefix matrix when they claim it.  With an ``executor``,
+        ``executor.threads(self)`` calls on its pool share each chunk's
+        cursor."""
         self._ensure()
         if self._lib is None:
             return self._numpy.simulate_x2max(model, n, trials, seed)
@@ -647,15 +711,17 @@ class NativeBackend:
 
         def score(sub, n, k, probabilities):
             sub = np.ascontiguousarray(sub, dtype=np.int64)
-            cursor, out = ClaimCursor(), np.empty(len(sub), dtype=np.float64)
+            calls = min(threads, len(sub))
+            cursor = ClaimCursor(threads=calls)
+            out = np.empty(len(sub), dtype=np.float64)
 
             def lanes(_):
                 _native_x2max_chunk(sub, n, k, probabilities, cursor, out)
 
-            if threads == 1:
+            if calls == 1:
                 lanes(None)
             else:
-                executor.map(lanes, range(min(threads, len(sub))))
+                executor.map(lanes, range(calls))
             return out.tolist()
 
         return _simulate_chunked(score, model, n, trials, seed)

@@ -33,24 +33,43 @@ request -> batcher -> mining threads -> finalize data flow is documented in
 ``docs/ARCHITECTURE.md``.
 """
 
-from repro.service.app import MiningService, ServiceThread
-from repro.service.batcher import (
-    MicroBatcher,
-    RequestTooLarge,
-    ServiceDraining,
-    ServiceOverloaded,
-)
-from repro.service.client import (
-    ServiceClient,
-    ServiceError,
-    ServiceOverloadedError,
-)
-from repro.service.protocol import (
-    MineRequest,
-    ProtocolError,
-    parse_mine_request,
-)
-from repro.service.store import DiskCalibrationCache, default_cache_dir
+import importlib
+
+#: Documents per dispatched batch unless the service picks another
+#: (``serve --batch-docs``).  Kept here, with no imports behind it, so
+#: the CLI's flag table reads it without importing the batcher.
+DEFAULT_BATCH_DOCS = 32
+
+# Exports resolve lazily (PEP 562), as ``repro`` does for the engine: a
+# caller that needs some submodules (the router uses the front door and
+# the protocol) does not import the others (the app, the batcher, the
+# client and the store) at import time.
+_EXPORTS = {
+    "MiningService": "app",
+    "ServiceThread": "app",
+    "MicroBatcher": "batcher",
+    "RequestTooLarge": "batcher",
+    "ServiceDraining": "batcher",
+    "ServiceOverloaded": "batcher",
+    "ServiceClient": "client",
+    "ServiceError": "client",
+    "ServiceOverloadedError": "client",
+    "MineRequest": "protocol",
+    "ProtocolError": "protocol",
+    "parse_mine_request": "protocol",
+    "DiskCalibrationCache": "store",
+    "default_cache_dir": "store",
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # cache: next access skips __getattr__
+    return value
+
 
 __all__ = [
     "MiningService",

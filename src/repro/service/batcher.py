@@ -53,6 +53,7 @@ from repro.engine.jobs import MiningJob
 from repro.faults import get_faults
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Trace
+from repro.service import DEFAULT_BATCH_DOCS
 from repro.service.protocol import MineRequest
 
 __all__ = [
@@ -62,9 +63,6 @@ __all__ = [
     "ServiceDraining",
     "ServiceOverloaded",
 ]
-
-#: Documents per dispatched batch unless the service picks another.
-DEFAULT_BATCH_DOCS = 32
 
 #: Document-count buckets for the batch-fill histogram (how full each
 #: dispatched batch was, in documents).

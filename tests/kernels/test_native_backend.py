@@ -6,7 +6,8 @@ this file tests the machinery around them -- a forced compile failure
 degrading to numpy with a structured warning, artifact reuse without a
 compiler (the worker-after-fork story), corrupt-artifact demotion,
 backend-independent calibration fingerprints, the registry's typo
-hint, and ``native`` as the default a fresh interpreter resolves.
+hint, ``native`` as the default a fresh interpreter resolves, and the
+lane step it reports (``-DREPRO_SCALAR_LANES`` builds the scalar one).
 Everything here runs on compiler-less hosts too: the fallback path is
 exactly what is under test.
 """
@@ -17,10 +18,12 @@ import io
 import json
 import inspect
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -28,6 +31,7 @@ import repro.kernels.native_backend as native_backend
 from repro.core.counts import PrefixCountIndex
 from repro.core.model import BernoulliModel
 from repro.engine.calibration import CalibrationCache, model_fingerprint
+from repro.engine.jobs import JobSpec
 from repro.generators import generate_null_string
 from repro.kernels import get_backend
 from repro.kernels.native_backend import NativeBackend
@@ -43,6 +47,19 @@ def warning_stream(monkeypatch):
     monkeypatch.setattr(obs_log._CONFIG, "level", "warning")
     monkeypatch.setattr(obs_log._CONFIG, "stream", buffer)
     return buffer
+
+
+def _cpu_flags() -> set[str] | None:
+    """The CPU's feature flags from ``/proc/cpuinfo``, or ``None`` on an
+    OS without it."""
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return None
+    for line in text.splitlines():
+        if line.startswith("flags"):
+            return set(line.partition(":")[2].split())
+    return None
 
 
 def _small_case():
@@ -63,6 +80,7 @@ class TestFallbackLadder:
         assert backend.resolved_name == "numpy"
         assert not backend.is_native
         assert "no C compiler" in backend.fallback_reason
+        assert backend.lane_step is None
         events = [
             json.loads(line) for line in warning_stream.getvalue().splitlines()
         ]
@@ -139,6 +157,50 @@ class TestCompileCache:
         assert backend.name == "native"
         assert backend.resolved_name == "native"
         assert backend.fallback_reason is None
+
+    @pytest.mark.skipif(
+        bool(os.environ.get("CC", "").strip()),
+        reason="a $CC wrapper may build the scalar lanes on purpose",
+    )
+    def test_lane_step_follows_the_cpu(self):
+        step = get_backend("native").lane_step
+        flags = _cpu_flags()
+        if platform.machine().lower() not in ("x86_64", "amd64"):
+            assert step == "scalar"
+        elif flags is None:
+            assert step in ("avx2", "scalar")
+        else:
+            assert step == ("avx2" if "avx2" in flags else "scalar")
+
+    def test_scalar_lanes_build(self, fresh_cache, tmp_path, monkeypatch):
+        """``-DREPRO_SCALAR_LANES`` (the seam CI uses to keep the scalar
+        lanes tested on AVX2 hosts) builds the scalar step, which passes
+        the self-check and matches the reference."""
+        wrapper = tmp_path / "scalar-cc"
+        wrapper.write_text(
+            "#!/bin/sh\n"
+            f'exec "{native_backend._find_compiler()}" '
+            '-DREPRO_SCALAR_LANES "$@"\n'
+        )
+        wrapper.chmod(0o755)
+        monkeypatch.setenv("CC", str(wrapper))
+        backend = NativeBackend()
+        assert backend.resolved_name == "native", backend.fallback_reason
+        assert backend.lane_step == "scalar"
+        model = BernoulliModel("acgt", [0.3, 0.2, 0.2, 0.3])
+        rng = np.random.default_rng(8)
+        indexes = [
+            PrefixCountIndex(rng.integers(0, model.k, size=n), model.k)
+            for n in (90, 0, 41, 7, 66, 12, 1)
+        ]
+        python = get_backend("python")
+        for spec in (JobSpec(), JobSpec(problem="minlength", min_length=6)):
+            assert backend.mine_batch(indexes, model, spec) == (
+                python.mine_batch(indexes, model, spec)
+            )
+        assert backend.simulate_x2max(model, 70, 11, 4) == (
+            get_backend("numpy").simulate_x2max(model, 70, 11, 4)
+        )
 
     def test_env_var_selects_native(self, monkeypatch):
         from repro.kernels import ENV_VAR

@@ -61,8 +61,10 @@ def test_fallback_is_visible_but_keeps_status_ok(
     assert health["backend"] == "native"
     assert health["backend_resolved"] == "numpy"
     assert "no C compiler" in health["backend_fallback_reason"]
+    assert health["lane_step"] is None
     engine = stats["engine"]
-    for key in ("backend", "backend_resolved", "backend_fallback_reason"):
+    for key in ("backend", "backend_resolved", "backend_fallback_reason",
+                "lane_step"):
         assert engine[key] == health[key]
     assert _fallback_total(scrape) == 1
     assert check_exposition(scrape) == []
@@ -92,8 +94,10 @@ def test_start_resolves_the_backend_before_the_first_request(
     assert calls == []
     assert health["status"] == "ok"
     assert health["backend_resolved"] == fresh_native.resolved_name
+    assert health["lane_step"] == fresh_native.lane_step
     if fresh_native.is_native:
         assert "backend_fallback_reason" not in health
+        assert health["lane_step"] in ("avx2", "scalar")
         assert _fallback_total(scrape) == 0
 
 

@@ -94,6 +94,11 @@ class TestStatsSchema:
         # the resolved kernel backend, not None, whatever the executor
         assert engine["backend"] in ("numpy", "python", "native")
         assert engine["backend_resolved"] in ("numpy", "python", "native")
+        # the native lane walker's step, None on any other backend
+        assert engine["lane_step"] in (
+            ("avx2", "scalar") if engine["backend_resolved"] == "native"
+            else (None,)
+        )
         for key in ("executor", "workers", "threads", "correction", "alpha"):
             assert key in engine
         batcher = stats["batcher"]

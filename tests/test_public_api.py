@@ -113,3 +113,37 @@ def test_miners_share_signature_shape():
         parameters = list(inspect.signature(miner).parameters)
         assert parameters[0] == "text"
         assert parameters[1] == "model"
+
+
+#: Run in a fresh interpreter: which service modules an import loads.
+_SERVICE_IMPORT_PROBE = """
+import json, sys
+import repro.cli
+after_cli = "repro.service.app" in sys.modules
+import repro.router.app
+after_router = "repro.service.app" in sys.modules
+from repro.service import MiningService
+print(json.dumps([after_cli, after_router, MiningService.__module__]))
+"""
+
+
+def test_service_exports_resolve_lazily():
+    """``import repro.cli`` and the router do not load the service app
+    (nor its engine and asyncio), yet every export still resolves."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro.service
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _SERVICE_IMPORT_PROBE],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, False, "repro.service.app"]
+    for name in repro.service.__all__:
+        assert hasattr(repro.service, name), name
