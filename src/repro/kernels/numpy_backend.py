@@ -39,6 +39,13 @@ positions, the first :data:`_HEAD_ROWS` rows are walked scalar to let
 the bound ramp up, and block sizes double from :data:`_FIRST_BLOCK` so a
 late update never forces a large replay.
 
+**One sweep per problem.**  :func:`_run_batched_sweep` runs the mss,
+minlength and top-t scans, and ``NumpyBackend._mine_batch_threshold``
+the threshold scan, over one document or many at once: ``mine_batch``
+hands them a corpus chunk, and each single-document ``scan_*`` method
+is a one-document batch.  A lone document's passes run on plain scalars
+(no per-lane offsets, tags or per-step counts by tag).
+
 Every arithmetic expression below is written in the same evaluation
 order as the scalar walkers, and numpy's float64 element operations are
 IEEE-754-identical to CPython's -- so the two backends agree *bitwise*
@@ -84,9 +91,10 @@ _FIRST_BLOCK = 64
 #: bounds ramp inside the blocked sweep itself, there is no scalar head).
 _CALIB_FIRST_BLOCK = 16
 
-#: Replay gaps at most this many rows go through the scalar row walkers:
-#: a wavefront pass has a per-step overhead that only pays off once
-#: enough lanes advance together.
+#: Replay phases of fewer rows than this (summed over the replaying
+#: documents) go through the scalar row walkers: a wavefront pass has a
+#: per-step overhead that only pays off once enough lanes advance
+#: together.
 _SCALAR_GAP = 48
 
 #: Element budget (k * (n + 1) * trials) per calibration chunk, bounding
@@ -316,77 +324,29 @@ def _row_span(n, i_lo, i_hi, e_offset):
     return count * (n + 1 - e_offset) - sum_i
 
 
-def _sweep(n, top_row, e_offset, lane_pass, scalar_row, find_update_rows):
-    """The shared discovery/replay block sweep over all start rows.
+def _lanes(spans):
+    """Lane start rows and document tags of ``(d, hi, lo)`` row spans.
 
-    Drives one scan end to end: a scalar head of :data:`_HEAD_ROWS` rows
-    (where the pruning bound does most of its climbing), then
-    doubling-size blocks, each run as a discovery pass first and -- only
-    when the discovery pass surfaced bound-update candidates -- replayed
-    exactly: the true update rows walk scalar, the gap runs between them
-    re-run as bound-frozen wavefronts (or scalar below :data:`_SCALAR_GAP`
-    rows, where a wavefront's per-step overhead cannot amortise).
-
-    The problem-specific pieces come in as callbacks:
-
-    ``lane_pass(i_hi, i_lo, collect)``
-        run rows ``i_hi..i_lo`` as lanes under the *current* bound,
-        returning ``(evaluated, cand_i, cand_e, cand_x)``;
-    ``scalar_row(i)``
-        walk one row with the reference walker, applying any bound
-        updates to the caller's state, returning ``(d_ev, d_sk)``;
-    ``find_update_rows(cand_i, cand_e, cand_x)``
-        given the scan-ordered discovery candidates, return the rows in
-        which the true sequential scan updates its bound (scan order).
-
-    Returns the scan's total ``(evaluated, skipped)``; skips fall out of
-    the lane identity ``skipped = span - evaluated`` per committed pass.
+    Each span contributes rows ``hi`` down to ``lo`` of document ``d``,
+    in scan order.
     """
-    evaluated = 0
-    skipped = 0
+    i_arr = np.concatenate([
+        np.arange(hi, lo - 1, -1, dtype=np.int64) for _, hi, lo in spans
+    ])
+    tags = np.concatenate([
+        np.full(hi - lo + 1, d, dtype=np.int64) for d, hi, lo in spans
+    ])
+    return i_arr, tags
 
-    def scalar_rows(hi, lo):
-        nonlocal evaluated, skipped
-        for i in range(hi, lo - 1, -1):
-            d_ev, d_sk = scalar_row(i)
-            evaluated += d_ev
-            skipped += d_sk
 
-    def replay_gap(hi, lo):
-        nonlocal evaluated, skipped
-        if hi - lo < _SCALAR_GAP:
-            scalar_rows(hi, lo)
-        else:
-            ev, _, _, _ = lane_pass(hi, lo, False)
-            evaluated += ev
-            skipped += _row_span(n, lo, hi, e_offset) - ev
-
-    head = min(top_row + 1, _HEAD_ROWS)
-    scalar_rows(top_row, top_row - head + 1)
-    i_hi = top_row - head
-    size = _FIRST_BLOCK
-    while i_hi >= 0:
-        count = min(size, i_hi + 1)
-        i_lo = i_hi - count + 1
-        ev, ci, ce, cx = lane_pass(i_hi, i_lo, True)
-        if ci.size == 0:
-            # No visit beat the bound: the discovery pass was the exact
-            # sequential scan of this block.  Commit it.
-            evaluated += ev
-            skipped += _row_span(n, i_lo, i_hi, e_offset) - ev
-        else:
-            update_rows = find_update_rows(*_scan_order(ci, ce, cx))
-            prev = i_hi
-            for row in update_rows:
-                if prev > row:
-                    replay_gap(prev, row + 1)
-                scalar_rows(row, row)
-                prev = row - 1
-            if prev >= i_lo:
-                replay_gap(prev, i_lo)
-        i_hi = i_lo - 1
-        size *= 2
-    return evaluated, skipped
+def _by_document(cand_t, cand_i, cand_e, cand_x):
+    """Split tagged candidates into ``{d: (cand_i, cand_e, cand_x)}``,
+    keyed by the documents that have any."""
+    split = {}
+    for d in np.unique(cand_t).tolist():
+        mask = cand_t == d
+        split[d] = (cand_i[mask], cand_e[mask], cand_x[mask])
+    return split
 
 
 def _x2max_chunk(sub, n, k, probabilities):
@@ -467,64 +427,71 @@ class _BatchCorpus:
     ``mat`` is ``(k, sum(n_d + 1))``; lane gathers into it use
     ``offsets[d] + position``.  Holding one matrix (rather than one per
     document) is what lets a single wavefront step advance lanes of every
-    document at once.
+    document at once.  A lone document's ``mat`` is its index's own
+    matrix, not a copy.  ``lengths`` and ``prefixes`` hold each
+    document's length and prefix lists for the scalar row walkers.
     """
 
-    __slots__ = ("indexes", "n_arr", "offsets", "mat")
+    __slots__ = ("indexes", "lengths", "prefixes", "n_arr", "offsets", "mat")
 
     def __init__(self, indexes):
         self.indexes = list(indexes)
-        self.n_arr = np.array([index.n for index in self.indexes],
-                              dtype=np.int64)
+        self.lengths = [index.n for index in self.indexes]
+        self.prefixes = [index.prefix_lists for index in self.indexes]
+        self.n_arr = np.array(self.lengths, dtype=np.int64)
         widths = self.n_arr + 1
         self.offsets = np.concatenate(
             (np.zeros(1, dtype=np.int64), np.cumsum(widths)[:-1])
         )
-        self.mat = np.concatenate(
-            [index.counts_matrix() for index in self.indexes], axis=1
-        )
+        mats = [index.counts_matrix() for index in self.indexes]
+        self.mat = mats[0] if len(mats) == 1 else np.concatenate(mats, axis=1)
 
 
 def _run_batched_sweep(corpus, e_offset, bounds, scalar_row, update_rows,
                        lane_pass):
-    """The multi-document discovery/replay sweep behind ``mine_batch``.
+    """The discovery/replay block sweep of every running-bound scan.
 
-    The schedule is the single-document :func:`_sweep` applied to every
-    document simultaneously: each document walks its own scalar head,
-    then the doubling blocks advance in lockstep -- block ``b`` of every
-    still-active document runs as *one* wavefront (per-lane document tag,
-    offset, length and bound), which is where the per-document kernel
-    dispatch of a corpus loop is amortised away.  Everyone whose block
-    surfaced no bound-update candidates commits the discovery counters
-    via the lane identity; the rest replay the block exactly -- and the
-    replays batch across documents too, in *phases*: every replaying
-    document's next gap run (rows between bound updates, whose bounds
-    are now known constants) joins one shared frozen wavefront, then
-    each walks its next update row scalar, and so on until all replays
-    drain.  The result is bit-identical to running :func:`_sweep` per
-    document.
+    Drives the mss, minlength and top-t scans of one document or many,
+    end to end.  Each document walks a scalar head of :data:`_HEAD_ROWS`
+    rows (where its pruning bound does most of its climbing); then
+    blocks, doubling in size from :data:`_FIRST_BLOCK` rows, advance in
+    lockstep -- block ``b`` of every still-active document runs as *one*
+    discovery wavefront (per-lane document tag, offset, length and
+    bound), which is where the per-document kernel dispatch of a corpus
+    loop is amortised away.  Everyone whose block surfaced no
+    bound-update candidates commits the discovery counters via the lane
+    identity; the rest replay the block exactly -- and the replays batch
+    across documents too, in *phases*: every replaying document's next
+    gap run (rows between bound updates, whose bounds are now known
+    constants) joins one shared frozen wavefront (walked scalar when the
+    phase has fewer than :data:`_SCALAR_GAP` rows, where a wavefront's
+    per-step overhead cannot amortise), then each walks its next update
+    row scalar, and so on until all replays drain.
+
+    A single document is a one-document batch whose passes run on plain
+    scalars: no offsets, tags or per-step evaluation counts by tag.
 
     Callbacks (all per document ``d``):
 
     ``scalar_row(d, i)``
         walk one row with the reference walker, updating the caller's
-        per-document state *and* ``bounds[d]``; returns ``(ev, sk)``;
+        per-document state *and* ``bounds[d]`` (a list of floats);
+        returns ``(ev, sk)``;
     ``update_rows(d, ci, ce, cx)``
         scan-ordered discovery candidates -> rows where the sequential
         scan truly updates its bound;
-    ``lane_pass(i_arr, e_arr, off, n_lane, bound, tags, eval_by_tag,
-    collect)``
-        run a wavefront over many documents' lanes -- discovery when
-        ``collect``, exact frozen replay otherwise -- returning
-        ``(cand_i, cand_e, cand_x, cand_tag)``.
+    ``lane_pass(n, i_arr, e_arr, off, bound, collect, tags, eval_by_tag)``
+        run a wavefront over the corpus matrix -- discovery when
+        ``collect``, exact frozen replay otherwise -- returning the lane
+        pass's tuple: ``evaluated`` first, ``(cand_i, cand_e, cand_x,
+        cand_tag)`` last.
 
-    Returns per-document ``(evaluated, skipped)`` int64 arrays.
+    Returns per-document ``(evaluated, skipped)`` lists.
     """
     docs = len(corpus.indexes)
-    n_arr = corpus.n_arr
-    offsets = corpus.offsets
-    evaluated = np.zeros(docs, dtype=np.int64)
-    skipped = np.zeros(docs, dtype=np.int64)
+    lengths = corpus.lengths
+    evaluated = [0] * docs
+    skipped = [0] * docs
 
     def scalar_rows(d, hi, lo):
         for i in range(hi, lo - 1, -1):
@@ -532,83 +499,71 @@ def _run_batched_sweep(corpus, e_offset, bounds, scalar_row, update_rows,
             evaluated[d] += d_ev
             skipped[d] += d_sk
 
-    def frozen_pass(specs):
-        """One exact wavefront over every (d, hi, lo) gap at once."""
-        total = sum(hi - lo + 1 for _, hi, lo in specs)
-        if total < _SCALAR_GAP:
-            for d, hi, lo in specs:
-                scalar_rows(d, hi, lo)
-            return
-        i_arr = np.concatenate([
-            np.arange(hi, lo - 1, -1, dtype=np.int64) for _, hi, lo in specs
-        ])
-        tags = np.concatenate([
-            np.full(hi - lo + 1, d, dtype=np.int64) for d, hi, lo in specs
-        ])
-        eval_by_tag = np.zeros(docs, dtype=np.int64)
-        lane_pass(i_arr, i_arr + e_offset, offsets[tags], n_arr[tags],
-                  bounds[tags], tags, eval_by_tag, False)
-        for d, hi, lo in specs:
-            ev = int(eval_by_tag[d])
-            evaluated[d] += ev
-            skipped[d] += _row_span(int(n_arr[d]), lo, hi, e_offset) - ev
+    def commit(d, hi, lo, ev):
+        evaluated[d] += ev
+        skipped[d] += _row_span(lengths[d], lo, hi, e_offset) - ev
 
-    i_hi = np.empty(docs, dtype=np.int64)
+    def run_pass(spans, collect):
+        """One wavefront over ``spans`` under each document's current
+        bound: per-document evaluation counts, and the candidates of each
+        document that has any (see :func:`_by_document`)."""
+        i_arr, tags = _lanes(spans)
+        if docs == 1:
+            ev, *_, ci, ce, cx, _ = lane_pass(
+                lengths[0], i_arr, i_arr + e_offset, None, bounds[0],
+                collect, None, None,
+            )
+            return (ev,), ({0: (ci, ce, cx)} if ci.size else {})
+        eval_by_tag = np.zeros(docs, dtype=np.int64)
+        _, *_, ci, ce, cx, ct = lane_pass(
+            corpus.n_arr[tags], i_arr, i_arr + e_offset, corpus.offsets[tags],
+            np.array(bounds)[tags], collect, tags, eval_by_tag,
+        )
+        return eval_by_tag, _by_document(ct, ci, ce, cx)
+
+    i_hi = []
     for d in range(docs):
-        top = int(n_arr[d]) - e_offset
+        top = lengths[d] - e_offset
         head = min(top + 1, _HEAD_ROWS)
         scalar_rows(d, top, top - head + 1)
-        i_hi[d] = top - head
+        i_hi.append(top - head)
 
     size = _FIRST_BLOCK
     while True:
-        alive = np.nonzero(i_hi >= 0)[0]
-        if alive.size == 0:
+        blocks = [(d, hi, max(hi - size + 1, 0))
+                  for d, hi in enumerate(i_hi) if hi >= 0]
+        if not blocks:
             break
-        parts_i: list[np.ndarray] = []
-        parts_t: list[np.ndarray] = []
-        i_lo: dict[int, int] = {}
-        for d in alive.tolist():
-            count = min(size, int(i_hi[d]) + 1)
-            lo = int(i_hi[d]) - count + 1
-            i_lo[d] = lo
-            parts_i.append(np.arange(int(i_hi[d]), lo - 1, -1, dtype=np.int64))
-            parts_t.append(np.full(count, d, dtype=np.int64))
-        i_arr = np.concatenate(parts_i)
-        tags = np.concatenate(parts_t)
-        eval_by_tag = np.zeros(docs, dtype=np.int64)
-        ci, ce, cx, ct = lane_pass(i_arr, i_arr + e_offset, offsets[tags],
-                                   n_arr[tags], bounds[tags], tags,
-                                   eval_by_tag, True)
-        # prev row, true update rows, next-update cursor per replaying doc
+        eval_by_tag, cands = run_pass(blocks, True)
+        # gap top, true update rows, next-update cursor, block bottom
         replay: dict[int, list] = {}
-        for d in alive.tolist():
-            hi = int(i_hi[d])
-            lo = i_lo[d]
-            mask = ct == d
-            if not mask.any():
+        for d, hi, lo in blocks:
+            if d in cands:
+                rows = update_rows(d, *_scan_order(*cands[d]))
+                replay[d] = [hi, rows, 0, lo]
+            else:
                 # No visit of this document beat its bound: the discovery
                 # pass was its exact sequential scan.  Commit it.
-                ev = int(eval_by_tag[d])
-                evaluated[d] += ev
-                skipped[d] += _row_span(int(n_arr[d]), lo, hi, e_offset) - ev
-            else:
-                rows = update_rows(d, *_scan_order(ci[mask], ce[mask],
-                                                   cx[mask]))
-                replay[d] = [hi, rows, 0]
+                commit(d, hi, lo, int(eval_by_tag[d]))
             i_hi[d] = lo - 1
         while replay:
-            specs = []
-            for d, state in replay.items():
-                prev, rows, cursor = state
-                gap_lo = rows[cursor] + 1 if cursor < len(rows) else i_lo[d]
+            gaps = []
+            gap_rows = 0
+            for d, (prev, rows, cursor, lo) in replay.items():
+                gap_lo = rows[cursor] + 1 if cursor < len(rows) else lo
                 if prev >= gap_lo:
-                    specs.append((d, prev, gap_lo))
-            if specs:
-                frozen_pass(specs)
+                    gaps.append((d, prev, gap_lo))
+                    gap_rows += prev - gap_lo + 1
+            if gap_rows < _SCALAR_GAP:
+                for d, hi, lo in gaps:
+                    scalar_rows(d, hi, lo)
+            else:
+                eval_by_tag = run_pass(gaps, False)[0]
+                for d, hi, lo in gaps:
+                    commit(d, hi, lo, int(eval_by_tag[d]))
             drained = []
             for d, state in replay.items():
-                prev, rows, cursor = state
+                rows, cursor = state[1], state[2]
                 if cursor < len(rows):
                     scalar_rows(d, rows[cursor], rows[cursor])
                     state[0] = rows[cursor] - 1
@@ -622,247 +577,44 @@ def _run_batched_sweep(corpus, e_offset, bounds, scalar_row, update_rows,
 
 
 class NumpyBackend:
-    """Vectorised kernels, bit-identical to :class:`PythonBackend`."""
+    """Vectorised kernels, bit-identical to :class:`PythonBackend`.
+
+    Each of the four problems has one batched sweep: ``mine_batch`` runs
+    a corpus chunk through it, and the problem's single-document
+    ``scan_*`` method is a one-document batch of the same sweep.
+    """
 
     name = "numpy"
 
     # ------------------------------------------------------------------
-    # Problem 1: MSS
+    # The four problems, one document at a time
     # ------------------------------------------------------------------
 
     def scan_mss(self, index, model):
-        """Full MSS scan as a block sweep of wavefront lane passes.
-
-        Same contract as :meth:`PythonBackend.scan_mss`: returns
-        ``(best, (start, end), evaluated, skipped)``, bit-identical.
-        """
-        n = index.n
-        binary = model.k == 2
-        probabilities = model.probabilities
-        best = -1.0
-        best_start = 0
-        best_end = 1
-        mat = index.counts_matrix()
-        if binary:
-            pref1_list = index.prefix_lists[1]
-            pref1 = mat[1]
-            p0, p1 = probabilities
-        else:
-            prefix = index.prefix_lists
-            inv_p = [1.0 / p for p in probabilities]
-
-        def scalar_row(i):
-            nonlocal best, best_start, best_end
-            if binary:
-                best, best_start, best_end, d_ev, d_sk = mss_row_binary(
-                    pref1_list, n, i, i + 1, best, best_start, best_end, p0, p1
-                )
-            else:
-                best, best_start, best_end, d_ev, d_sk = mss_row_generic(
-                    prefix, n, i, i + 1, best, best_start, best_end,
-                    probabilities, inv_p,
-                )
-            return d_ev, d_sk
-
-        def lane_pass(i_hi, i_lo, collect):
-            i_arr = np.arange(i_hi, i_lo - 1, -1, dtype=np.int64)
-            e_arr = i_arr + 1
-            if binary:
-                ev, ci, ce, cx, _ = _lane_pass_binary(
-                    pref1, n, i_arr, e_arr, None, best, p0, p1, collect=collect
-                )
-            else:
-                ev, _, ci, ce, cx, _ = _lane_pass_generic(
-                    mat, n, i_arr, e_arr, None, best, probabilities,
-                    collect=collect,
-                )
-            return ev, ci, ce, cx
-
-        evaluated, skipped = _sweep(
-            n, n - 1, 1, lane_pass, scalar_row,
-            lambda ci, ce, cx: _running_max_rows(ci, cx, best),
-        )
-        return best, (best_start, best_end), evaluated, skipped
-
-    # ------------------------------------------------------------------
-    # Problem 4: MSS with a length floor
-    # ------------------------------------------------------------------
+        """Full MSS scan, on the binary fast path at k = 2.  Same contract
+        as :meth:`PythonBackend.scan_mss`: returns
+        ``(best, (start, end), evaluated, skipped)``, bit-identical."""
+        return self._mine_batch_best([index], model, 1, model.k == 2)[0]
 
     def scan_mss_min_length(self, index, model, min_length):
         """Problem 4 scan (generic arithmetic for every ``k``, as the
         reference does); same contract as
         :meth:`PythonBackend.scan_mss_min_length`, bit-identical."""
-        n = index.n
-        prefix = index.prefix_lists
-        probabilities = model.probabilities
-        inv_p = [1.0 / p for p in probabilities]
-        mat = index.counts_matrix()
-        best = -1.0
-        best_start = 0
-        best_end = min_length
-
-        def scalar_row(i):
-            nonlocal best, best_start, best_end
-            best, best_start, best_end, d_ev, d_sk = mss_row_generic(
-                prefix, n, i, i + min_length, best, best_start, best_end,
-                probabilities, inv_p,
-            )
-            return d_ev, d_sk
-
-        def lane_pass(i_hi, i_lo, collect):
-            i_arr = np.arange(i_hi, i_lo - 1, -1, dtype=np.int64)
-            e_arr = i_arr + min_length
-            ev, _, ci, ce, cx, _ = _lane_pass_generic(
-                mat, n, i_arr, e_arr, None, best, probabilities,
-                collect=collect,
-            )
-            return ev, ci, ce, cx
-
-        evaluated, skipped = _sweep(
-            n, n - min_length, min_length, lane_pass, scalar_row,
-            lambda ci, ce, cx: _running_max_rows(ci, cx, best),
-        )
-        return best, (best_start, best_end), evaluated, skipped
-
-    # ------------------------------------------------------------------
-    # Problem 2: top-t
-    # ------------------------------------------------------------------
+        return self._mine_batch_best([index], model, min_length, False)[0]
 
     def scan_top_t(self, index, model, t):
-        """Top-t scan; the replay simulates the heap over scan-ordered
-        exceedances to find the true update rows.  Same contract as
-        :meth:`PythonBackend.scan_top_t` -- returns the raw size-t heap --
-        and bit-identical to it."""
-        n = index.n
-        prefix = index.prefix_lists
-        probabilities = model.probabilities
-        inv_p = [1.0 / p for p in probabilities]
-        mat = index.counts_matrix()
-        heap: list[tuple[float, int, int]] = [(0.0, -1, -1)] * t
-        bound = 0.0
-
-        def scalar_row(i):
-            nonlocal bound
-            bound, d_ev, d_sk = topt_row(
-                prefix, n, i, i + 1, heap, bound, probabilities, inv_p
-            )
-            return d_ev, d_sk
-
-        def lane_pass(i_hi, i_lo, collect):
-            i_arr = np.arange(i_hi, i_lo - 1, -1, dtype=np.int64)
-            e_arr = i_arr + 1
-            ev, _, ci, ce, cx, _ = _lane_pass_generic(
-                mat, n, i_arr, e_arr, None, bound, probabilities,
-                collect=collect,
-            )
-            return ev, ci, ce, cx
-
-        def heap_update_rows(ci, ce, cx):
-            # Simulate the heap over the scan-ordered exceedances to find
-            # exactly which rows replace a heap entry (the real heap is
-            # mutated by the scalar replay walks, not here).
-            sim = list(heap)
-            rows: list[int] = []
-            for row, end, value in zip(ci.tolist(), ce.tolist(), cx.tolist()):
-                if value > sim[0][0]:
-                    heapq.heapreplace(sim, (value, row, end))
-                    if not rows or rows[-1] != row:
-                        rows.append(row)
-            return rows
-
-        evaluated, skipped = _sweep(
-            n, n - 1, 1, lane_pass, scalar_row, heap_update_rows
-        )
-        return heap, evaluated, skipped
-
-    # ------------------------------------------------------------------
-    # Problem 3: threshold
-    # ------------------------------------------------------------------
+        """Top-t scan.  Same contract as :meth:`PythonBackend.scan_top_t`
+        -- returns the raw size-t heap, ``t`` uncapped -- and
+        bit-identical to it."""
+        return self._mine_batch_top([index], model, [t])[0]
 
     def scan_threshold(self, index, model, alpha0, limit=None, count_only=False):
-        """Threshold scan.  The bound never moves, so every wavefront
-        pass is exact and only ``limit`` truncation needs scan-order
-        care.  Same contract as :meth:`PythonBackend.scan_threshold`,
-        bit-identical including the truncated prefix of matches."""
-        if limit is not None and limit < 1:
-            # The reference walker truncates right after appending match
-            # number max(limit, 1); clamping keeps the kernels agreeing
-            # even on a nonsensical limit a third-party caller slips past
-            # find_above_threshold's validation.
-            limit = 1
-        n = index.n
-        prefix = index.prefix_lists
-        probabilities = model.probabilities
-        inv_p = [1.0 / p for p in probabilities]
-        mat = index.counts_matrix()
-        found: list[tuple[float, int, int]] = []
-        match_count = 0
-        truncated = False
-        evaluated = 0
-        skipped = 0
-
-        def scalar_row(i):
-            nonlocal match_count, truncated, evaluated, skipped
-            d_ev, d_sk, d_match, truncated = threshold_row(
-                prefix, n, i, i + 1, alpha0, probabilities, inv_p, found,
-                limit, count_only,
-            )
-            evaluated += d_ev
-            skipped += d_sk
-            match_count += d_match
-
-        head = min(n, _HEAD_ROWS)
-        for i in range(n - 1, n - head - 1, -1):
-            scalar_row(i)
-            if truncated:
-                return found, match_count, truncated, evaluated, skipped
-
-        def lane_pass(i_hi, i_lo, store):
-            i_arr = np.arange(i_hi, i_lo - 1, -1, dtype=np.int64)
-            e_arr = i_arr + 1
-            return _lane_pass_generic(
-                mat, n, i_arr, e_arr, None, alpha0, probabilities,
-                collect=True, exceed_unit=True, store=store,
-            )
-
-        i_hi = n - head - 1
-        size = _FIRST_BLOCK
-        while i_hi >= 0:
-            count = min(size, i_hi + 1)
-            i_lo = i_hi - count + 1
-            materialise = not count_only
-            ev, n_match, ci, ce, cx = lane_pass(i_hi, i_lo, materialise)[:5]
-            if materialise and limit is not None and len(found) + n_match >= limit:
-                # The scan truncates inside this block.  The matches of a
-                # fixed-bound pass are exact per row, so the scan-order
-                # position of match number ``limit`` identifies the row
-                # the sequential scan stopped in; rows above it are
-                # replayed for exact counters, that row is walked scalar
-                # with the real remaining capacity.
-                ci, ce, cx = _scan_order(ci, ce, cx)
-                cut_row = int(ci[limit - len(found) - 1])
-                if i_hi > cut_row:
-                    ev, n_match, _, _, _ = lane_pass(i_hi, cut_row + 1, False)[:5]
-                    keep = ci > cut_row
-                    for value, row, end in zip(
-                        cx[keep].tolist(), ci[keep].tolist(), ce[keep].tolist()
-                    ):
-                        found.append((value, row, end))
-                    match_count += n_match
-                    evaluated += ev
-                    skipped += _row_span(n, cut_row + 1, i_hi, 1) - ev
-                scalar_row(cut_row)
-                return found, match_count, truncated, evaluated, skipped
-            if materialise and ci.size:
-                ci, ce, cx = _scan_order(ci, ce, cx)
-                for value, row, end in zip(cx.tolist(), ci.tolist(), ce.tolist()):
-                    found.append((value, row, end))
-            match_count += n_match
-            evaluated += ev
-            skipped += _row_span(n, i_lo, i_hi, 1) - ev
-            i_hi = i_lo - 1
-            size *= 2
-        return found, match_count, truncated, evaluated, skipped
+        """Threshold scan.  Same contract as
+        :meth:`PythonBackend.scan_threshold`, bit-identical including the
+        truncated prefix of matches."""
+        return self._mine_batch_threshold(
+            [index], model, alpha0, limit, count_only
+        )[0]
 
     # ------------------------------------------------------------------
     # Corpus batching
@@ -898,7 +650,9 @@ class NumpyBackend:
             binary = problem == "mss" and model.k == 2
             return self._mine_batch_best(indexes, model, e_offset, binary)
         if problem == "top":
-            return self._mine_batch_top(indexes, model, spec.t)
+            return self._mine_batch_top(indexes, model, [
+                min(spec.t, index.n * (index.n + 1) // 2) for index in indexes
+            ])
         if problem == "threshold":
             return self._mine_batch_threshold(
                 indexes, model, spec.threshold, spec.limit
@@ -906,11 +660,12 @@ class NumpyBackend:
         raise ValueError(f"unknown problem {problem!r}")
 
     def _mine_batch_best(self, indexes, model, e_offset, binary):
-        """Batched running-maximum scans (``mss`` / ``minlength``)."""
+        """Running-maximum scans (``mss`` / ``minlength``) whose rows start
+        at length ``e_offset``; ``binary`` takes the k = 2 fast path."""
         corpus = _BatchCorpus(indexes)
         docs = len(corpus.indexes)
         probabilities = model.probabilities
-        bounds = np.full(docs, -1.0)
+        bounds = [-1.0] * docs
         best_start = [0] * docs
         best_end = [e_offset] * docs
         if binary:
@@ -920,17 +675,15 @@ class NumpyBackend:
             inv_p = [1.0 / p for p in probabilities]
 
         def scalar_row(d, i):
-            index = corpus.indexes[d]
-            n = index.n
             if binary:
                 best, bs, be, d_ev, d_sk = mss_row_binary(
-                    index.prefix_lists[1], n, i, i + 1,
-                    float(bounds[d]), best_start[d], best_end[d], p0, p1,
+                    corpus.prefixes[d][1], corpus.lengths[d], i, i + 1,
+                    bounds[d], best_start[d], best_end[d], p0, p1,
                 )
             else:
                 best, bs, be, d_ev, d_sk = mss_row_generic(
-                    index.prefix_lists, n, i, i + e_offset,
-                    float(bounds[d]), best_start[d], best_end[d],
+                    corpus.prefixes[d], corpus.lengths[d], i, i + e_offset,
+                    bounds[d], best_start[d], best_end[d],
                     probabilities, inv_p,
                 )
             bounds[d] = best
@@ -939,54 +692,51 @@ class NumpyBackend:
             return d_ev, d_sk
 
         def update_rows(d, ci, ce, cx):
-            return _running_max_rows(ci, cx, float(bounds[d]))
+            return _running_max_rows(ci, cx, bounds[d])
 
-        def lane_pass(i_arr, e_arr, off, n_lane, bound, tags, eval_by_tag,
-                      collect):
+        def lane_pass(n, i_arr, e_arr, off, bound, collect, tags, eval_by_tag):
             if binary:
-                _, ci, ce, cx, ct = _lane_pass_binary(
-                    pref1, n_lane, i_arr, e_arr, off, bound, p0, p1,
+                return _lane_pass_binary(
+                    pref1, n, i_arr, e_arr, off, bound, p0, p1,
                     collect=collect, lane_tag=tags, eval_by_tag=eval_by_tag,
                 )
-            else:
-                _, _, ci, ce, cx, ct = _lane_pass_generic(
-                    corpus.mat, n_lane, i_arr, e_arr, off, bound,
-                    probabilities, collect=collect, lane_tag=tags,
-                    eval_by_tag=eval_by_tag,
-                )
-            return ci, ce, cx, ct
+            return _lane_pass_generic(
+                corpus.mat, n, i_arr, e_arr, off, bound, probabilities,
+                collect=collect, lane_tag=tags, eval_by_tag=eval_by_tag,
+            )
 
         evaluated, skipped = _run_batched_sweep(
             corpus, e_offset, bounds, scalar_row, update_rows, lane_pass,
         )
         return [
-            (float(bounds[d]), (best_start[d], best_end[d]),
-             int(evaluated[d]), int(skipped[d]))
+            (bounds[d], (best_start[d], best_end[d]), evaluated[d], skipped[d])
             for d in range(docs)
         ]
 
-    def _mine_batch_top(self, indexes, model, t):
-        """Batched top-t scans: one heap and heap-root bound per document."""
+    def _mine_batch_top(self, indexes, model, sizes):
+        """Top-t scans: one zero-seeded heap of ``sizes[d]`` entries, and
+        its root as the bound, per document."""
         corpus = _BatchCorpus(indexes)
         docs = len(corpus.indexes)
         probabilities = model.probabilities
         inv_p = [1.0 / p for p in probabilities]
         heaps: list[list[tuple[float, int, int]]] = [
-            [(0.0, -1, -1)] * min(t, index.n * (index.n + 1) // 2)
-            for index in corpus.indexes
+            [(0.0, -1, -1)] * size for size in sizes
         ]
-        bounds = np.zeros(docs)
+        bounds = [0.0] * docs
 
         def scalar_row(d, i):
-            index = corpus.indexes[d]
             bound, d_ev, d_sk = topt_row(
-                index.prefix_lists, index.n, i, i + 1, heaps[d],
-                float(bounds[d]), probabilities, inv_p,
+                corpus.prefixes[d], corpus.lengths[d], i, i + 1, heaps[d],
+                bounds[d], probabilities, inv_p,
             )
             bounds[d] = bound
             return d_ev, d_sk
 
         def update_rows(d, ci, ce, cx):
+            # Simulate the heap over the scan-ordered exceedances to find
+            # exactly which rows replace a heap entry (the real heap is
+            # mutated by the scalar replay walks, not here).
             sim = list(heaps[d])
             rows: list[int] = []
             for row, end, value in zip(ci.tolist(), ce.tolist(), cx.tolist()):
@@ -996,24 +746,20 @@ class NumpyBackend:
                         rows.append(row)
             return rows
 
-        def lane_pass(i_arr, e_arr, off, n_lane, bound, tags, eval_by_tag,
-                      collect):
-            _, _, ci, ce, cx, ct = _lane_pass_generic(
-                corpus.mat, n_lane, i_arr, e_arr, off, bound, probabilities,
+        def lane_pass(n, i_arr, e_arr, off, bound, collect, tags, eval_by_tag):
+            return _lane_pass_generic(
+                corpus.mat, n, i_arr, e_arr, off, bound, probabilities,
                 collect=collect, lane_tag=tags, eval_by_tag=eval_by_tag,
             )
-            return ci, ce, cx, ct
 
         evaluated, skipped = _run_batched_sweep(
             corpus, 1, bounds, scalar_row, update_rows, lane_pass
         )
-        return [
-            (heaps[d], int(evaluated[d]), int(skipped[d]))
-            for d in range(docs)
-        ]
+        return [(heaps[d], evaluated[d], skipped[d]) for d in range(docs)]
 
-    def _mine_batch_threshold(self, indexes, model, alpha0, limit=None):
-        """Batched threshold scans: fixed bound, truncation per document.
+    def _mine_batch_threshold(self, indexes, model, alpha0, limit=None,
+                              count_only=False):
+        """Threshold scans: a fixed bound, truncation per document.
 
         Without a ``limit`` no replay ever happens (the bound never
         moves).  With one, each document carries its own remaining
@@ -1025,121 +771,116 @@ class NumpyBackend:
         counters, walks the cut row with the scalar reference walker
         (which applies the real remaining capacity and sets
         ``truncated``), and retires -- all other documents' lanes are
-        unaffected.  Bit-identical to the per-document
-        :meth:`scan_threshold`, including the truncated match prefix and
-        the stopping point.
+        unaffected.  ``count_only`` counts the matches without keeping
+        them and ignores ``limit``, as the reference walker does.
+        Bit-identical to :meth:`PythonBackend.scan_threshold` per
+        document, including the truncated match prefix and the stopping
+        point.
         """
-        if limit is not None and limit < 1:
-            limit = 1  # mirror scan_threshold's clamp for rogue callers
+        if count_only:
+            limit = None
+        elif limit is not None and limit < 1:
+            # The reference walker truncates right after appending match
+            # number max(limit, 1); clamping keeps the kernels agreeing
+            # even on a nonsensical limit a third-party caller slips past
+            # find_above_threshold's validation.
+            limit = 1
         corpus = _BatchCorpus(indexes)
         docs = len(corpus.indexes)
-        n_arr = corpus.n_arr
+        lengths = corpus.lengths
         probabilities = model.probabilities
         inv_p = [1.0 / p for p in probabilities]
         found: list[list[tuple[float, int, int]]] = [[] for _ in range(docs)]
         match_count = [0] * docs
         truncated = [False] * docs
-        evaluated = np.zeros(docs, dtype=np.int64)
-        skipped = np.zeros(docs, dtype=np.int64)
-        i_hi = np.empty(docs, dtype=np.int64)
-        for d, index in enumerate(corpus.indexes):
-            n = index.n
+        evaluated = [0] * docs
+        skipped = [0] * docs
+
+        def scalar_row(d, i):
+            d_ev, d_sk, d_match, truncated[d] = threshold_row(
+                corpus.prefixes[d], lengths[d], i, i + 1, alpha0,
+                probabilities, inv_p, found[d], limit, count_only,
+            )
+            evaluated[d] += d_ev
+            skipped[d] += d_sk
+            match_count[d] += d_match
+
+        def doc_pass(d, i_arr, store):
+            # One document's lanes on its own matrix, on plain scalars.
+            return _lane_pass_generic(
+                corpus.indexes[d].counts_matrix(), lengths[d], i_arr,
+                i_arr + 1, None, alpha0, probabilities, collect=True,
+                exceed_unit=True, store=store,
+            )
+
+        i_hi = []
+        for d in range(docs):
+            n = lengths[d]
             head = min(n, _HEAD_ROWS)
-            i_hi[d] = n - head - 1
+            i_hi.append(n - head - 1)
             for i in range(n - 1, n - head - 1, -1):
-                d_ev, d_sk, d_match, trunc = threshold_row(
-                    index.prefix_lists, n, i, i + 1, alpha0, probabilities,
-                    inv_p, found[d], limit, False,
-                )
-                evaluated[d] += d_ev
-                skipped[d] += d_sk
-                match_count[d] += d_match
-                if trunc:
-                    truncated[d] = True
+                scalar_row(d, i)
+                if truncated[d]:
                     i_hi[d] = -1
                     break
 
         size = _FIRST_BLOCK
         while True:
-            alive = np.nonzero(i_hi >= 0)[0]
-            if alive.size == 0:
+            blocks = [(d, hi, max(hi - size + 1, 0))
+                      for d, hi in enumerate(i_hi) if hi >= 0]
+            if not blocks:
                 break
-            parts_i: list[np.ndarray] = []
-            parts_t: list[np.ndarray] = []
-            i_lo: dict[int, int] = {}
-            for d in alive.tolist():
-                count = min(size, int(i_hi[d]) + 1)
-                lo = int(i_hi[d]) - count + 1
-                i_lo[d] = lo
-                parts_i.append(
-                    np.arange(int(i_hi[d]), lo - 1, -1, dtype=np.int64)
+            i_arr, tags = _lanes(blocks)
+            if docs == 1:
+                ev, exceeded, ci, ce, cx, _ = doc_pass(0, i_arr, not count_only)
+                eval_by_tag, match_by_tag = (ev,), (exceeded,)
+                cands = {0: (ci, ce, cx)} if ci.size else {}
+            else:
+                eval_by_tag = np.zeros(docs, dtype=np.int64)
+                _, _, ci, ce, cx, ct = _lane_pass_generic(
+                    corpus.mat, corpus.n_arr[tags], i_arr, i_arr + 1,
+                    corpus.offsets[tags], alpha0, probabilities,
+                    collect=True, exceed_unit=True, lane_tag=tags,
+                    eval_by_tag=eval_by_tag,
                 )
-                parts_t.append(np.full(count, d, dtype=np.int64))
-            i_arr = np.concatenate(parts_i)
-            tags = np.concatenate(parts_t)
-            eval_by_tag = np.zeros(docs, dtype=np.int64)
-            _, _, ci, ce, cx, ct = _lane_pass_generic(
-                corpus.mat, n_arr[tags], i_arr, i_arr + 1,
-                corpus.offsets[tags], alpha0, probabilities,
-                collect=True, exceed_unit=True, store=True, lane_tag=tags,
-                eval_by_tag=eval_by_tag,
-            )
-            for d in alive.tolist():
-                hi = int(i_hi[d])
-                lo = i_lo[d]
-                n_d = int(n_arr[d])
-                mask = ct == d
-                n_match = int(mask.sum())
-                if limit is not None and len(found[d]) + n_match >= limit:
-                    # This document truncates inside the block (see the
-                    # docstring); replay above the cut, scalar the cut
-                    # row, retire the document.
-                    oi, oe, ox = _scan_order(ci[mask], ce[mask], cx[mask])
-                    cut_row = int(oi[limit - len(found[d]) - 1])
-                    if hi > cut_row:
-                        rows = np.arange(hi, cut_row, -1, dtype=np.int64)
-                        off = np.full(
-                            rows.size, int(corpus.offsets[d]), dtype=np.int64
-                        )
-                        ev, n_above, _, _, _, _ = _lane_pass_generic(
-                            corpus.mat, n_d, rows, rows + 1, off, alpha0,
-                            probabilities, collect=True, exceed_unit=True,
-                            store=False,
-                        )
-                        keep = oi > cut_row
-                        for value, row, end in zip(
-                            ox[keep].tolist(), oi[keep].tolist(),
-                            oe[keep].tolist()
-                        ):
-                            found[d].append((value, row, end))
-                        match_count[d] += n_above
-                        evaluated[d] += ev
-                        skipped[d] += _row_span(n_d, cut_row + 1, hi, 1) - ev
-                    d_ev, d_sk, d_match, trunc = threshold_row(
-                        corpus.indexes[d].prefix_lists, n_d, cut_row,
-                        cut_row + 1, alpha0, probabilities, inv_p, found[d],
-                        limit, False,
-                    )
-                    evaluated[d] += d_ev
-                    skipped[d] += d_sk
-                    match_count[d] += d_match
-                    truncated[d] = trunc
-                    i_hi[d] = -1
-                    continue
-                if n_match:
-                    oi, oe, ox = _scan_order(ci[mask], ce[mask], cx[mask])
-                    for value, row, end in zip(ox.tolist(), oi.tolist(),
-                                               oe.tolist()):
-                        found[d].append((value, row, end))
-                    match_count[d] += n_match
+                cands = _by_document(ct, ci, ce, cx)
+                match_by_tag = np.bincount(ct, minlength=docs)
+            for d, hi, lo in blocks:
+                n_match = int(match_by_tag[d])
+                i_hi[d] = lo - 1
+                if n_match and not count_only:
+                    oi, oe, ox = _scan_order(*cands[d])
+                    if limit is not None and len(found[d]) + n_match >= limit:
+                        # This document truncates inside the block (see
+                        # the docstring); replay above the cut, walk the
+                        # cut row scalar, retire the document.
+                        cut_row = int(oi[limit - len(found[d]) - 1])
+                        if hi > cut_row:
+                            ev, n_above, *_ = doc_pass(
+                                d, np.arange(hi, cut_row, -1, dtype=np.int64),
+                                False,
+                            )
+                            keep = oi > cut_row
+                            found[d].extend(zip(
+                                ox[keep].tolist(), oi[keep].tolist(),
+                                oe[keep].tolist(),
+                            ))
+                            match_count[d] += n_above
+                            evaluated[d] += ev
+                            skipped[d] += (
+                                _row_span(lengths[d], cut_row + 1, hi, 1) - ev
+                            )
+                        scalar_row(d, cut_row)
+                        i_hi[d] = -1
+                        continue
+                    found[d].extend(zip(ox.tolist(), oi.tolist(), oe.tolist()))
+                match_count[d] += n_match
                 ev = int(eval_by_tag[d])
                 evaluated[d] += ev
-                skipped[d] += _row_span(n_d, lo, hi, 1) - ev
-                i_hi[d] = lo - 1
+                skipped[d] += _row_span(lengths[d], lo, hi, 1) - ev
             size *= 2
         return [
-            (found[d], match_count[d], truncated[d], int(evaluated[d]),
-             int(skipped[d]))
+            (found[d], match_count[d], truncated[d], evaluated[d], skipped[d])
             for d in range(docs)
         ]
 

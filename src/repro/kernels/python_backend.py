@@ -38,11 +38,14 @@ __all__ = ["PythonBackend", "mine_reference"]
 def mine_reference(backend, index, model, spec):
     """Run one document's configured problem through ``backend``'s scans.
 
-    This is the shared per-document dispatch used by every backend's
-    ``mine_batch``: given a duck-typed ``spec`` (any object exposing
+    This is the per-document dispatch that defines ``mine_batch``: given
+    a duck-typed ``spec`` (any object exposing
     ``problem``/``t``/``threshold``/``min_length``/``limit``, e.g.
     :class:`repro.engine.jobs.JobSpec`), it calls the matching
     single-document scan and returns its raw output tuple unchanged.
+    The python backend's ``mine_batch`` runs it for every document and
+    the native one for the documents its lanes do not take; the numpy
+    backend's batched sweeps reproduce its output bit for bit.
 
     Per-document parameter semantics (part of the ``mine_batch``
     contract):

@@ -176,16 +176,6 @@ class Counter(_Metric):
         with self._lock:
             self._value += amount
 
-    def reset(self, value: float = 0.0) -> None:
-        """Force the counter to ``value``.
-
-        Exists for the service layer's back-compat setters (tests
-        manufacture throughput by assigning ``batcher.docs_total``);
-        production code paths only ever :meth:`inc`.
-        """
-        with self._lock:
-            self._value = value
-
     @property
     def value(self) -> float:
         """The current total."""

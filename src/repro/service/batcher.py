@@ -204,8 +204,7 @@ class MicroBatcher:
         )
         # Counters surfaced by stats() and GET /metrics: registry-backed
         # so /stats and the Prometheus exposition share one source of
-        # truth.  The attribute-style views below stay assignable for
-        # tests and callers that seed them.
+        # truth.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._requests_total = self.metrics.counter(
             "repro_batcher_requests_total",
@@ -248,8 +247,7 @@ class MicroBatcher:
         )
 
     # ------------------------------------------------------------------
-    # Registry-backed counter views (readable *and* assignable, so
-    # existing callers and tests that seed them keep working).
+    # Registry-backed counter views (read-only: counters only go up)
     # ------------------------------------------------------------------
 
     @property
@@ -257,18 +255,10 @@ class MicroBatcher:
         """Requests accepted (registry-backed)."""
         return int(self._requests_total.value)
 
-    @requests_total.setter
-    def requests_total(self, value) -> None:
-        self._requests_total.reset(value)
-
     @property
     def requests_rejected(self) -> int:
         """Requests rejected with backpressure (registry-backed)."""
         return int(self._requests_rejected.value)
-
-    @requests_rejected.setter
-    def requests_rejected(self, value) -> None:
-        self._requests_rejected.reset(value)
 
     @property
     def tenant_rejected(self) -> int:
@@ -280,27 +270,15 @@ class MicroBatcher:
         """Documents mined through batches (registry-backed)."""
         return int(self._docs_total.value)
 
-    @docs_total.setter
-    def docs_total(self, value) -> None:
-        self._docs_total.reset(value)
-
     @property
     def batches(self) -> int:
         """Batches dispatched (registry-backed)."""
         return int(self._batches.value)
 
-    @batches.setter
-    def batches(self, value) -> None:
-        self._batches.reset(value)
-
     @property
     def mine_seconds(self) -> float:
         """Wall seconds spent mining (registry-backed)."""
         return self._mine_seconds.value
-
-    @mine_seconds.setter
-    def mine_seconds(self, value) -> None:
-        self._mine_seconds.reset(value)
 
     async def start(self) -> None:
         """Start the dispatcher coroutine (idempotent).

@@ -14,7 +14,10 @@ hypothesis.settings.register_profile(
     max_examples=60,
     suppress_health_check=[hypothesis.HealthCheck.too_slow],
 )
-hypothesis.settings.load_profile("repro")
+# Only on first load: test modules that import ``tests.conftest`` run
+# this file a second time, after ``--hypothesis-profile`` was applied.
+if hypothesis.settings.get_current_profile_name() == "default":
+    hypothesis.settings.load_profile("repro")
 # CI's larger budget for the kernel and HTTP reader fuzz
 # (``--hypothesis-profile=repro-fuzz``).
 hypothesis.settings.register_profile(

@@ -7,24 +7,32 @@ counters and whole result lists -- never ``isclose``.  The cases
 deliberately cover the implementations' seams: strings shorter than the
 scalar head, lengths straddling block boundaries, adversarial strings
 that force bound updates deep into large blocks, and threshold scans
-that truncate mid-block.  Each test parametrizes over
+that truncate mid-block.  The ``find_*`` suites reach the kernels
+through the public calls, which reject ``t``, ``min_length`` and ``n``
+outside their range; a hypothesis test calls the raw ``scan_*``
+contract directly at those edges.  Each test parametrizes over
 ``ACCEL_BACKENDS``; the native leg skips cleanly on compiler-less
 hosts.
 """
 
 from __future__ import annotations
 
+import string
+
 import hypothesis
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 
 from repro.analysis.calibration import mss_null_distribution
+from repro.core.counts import PrefixCountIndex
 from repro.core.minlength import find_mss_min_length
 from repro.core.model import BernoulliModel
 from repro.core.mss import find_mss
 from repro.core.threshold import find_above_threshold
 from repro.core.topt import find_top_t
 from repro.generators import generate_null_string
+from repro.kernels import get_backend
 from tests.conftest import model_and_text
 from tests.kernels.conftest import ACCEL_BACKENDS
 
@@ -287,3 +295,60 @@ def test_threshold_kernel_tolerates_degenerate_limit(accel):
             for name in ("python", accel)
         ]
         assert results[0] == results[1]
+
+
+@st.composite
+def edge_documents(draw):
+    """A model at k = 2..26 (uniform or skewed) and a null, one-symbol or
+    periodic document of 0 to 2k + 70 symbols, across the 64-row scalar
+    head."""
+    k = draw(st.integers(2, 26))
+    weights = draw(st.one_of(
+        st.just([1.0] * k),
+        st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k),
+    ))
+    total = sum(weights)
+    model = BernoulliModel(string.ascii_lowercase[:k],
+                           [w / total for w in weights])
+    n = draw(st.integers(0, 2 * k + 70))
+    shape = draw(st.sampled_from(["null", "one-symbol", "periodic"]))
+    if shape == "null":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        codes = rng.choice(k, size=n, p=model.probabilities)
+    else:
+        unit = draw(st.lists(st.integers(0, k - 1), min_size=1,
+                             max_size=1 if shape == "one-symbol" else 6))
+        codes = (unit * n)[:n]
+    return model, PrefixCountIndex(codes, k)
+
+
+@pytest.mark.parametrize("accel", ACCEL_BACKENDS)
+@hypothesis.given(edge_documents(), st.data())
+def test_raw_scans_at_their_edges(accel, document, data):
+    """The raw single-document ``scan_*`` contract, called directly:
+    empty and short documents, ``t`` of 1, of n(n+1)/2 and past it,
+    ``min_length`` at and past n, and threshold limits of ``None``, 0, 1
+    and about the match count, with and without ``count_only``."""
+    model, index = document
+    n = index.n
+    python = get_backend("python")
+    backend = get_backend(accel)
+
+    def same(scan, *args):
+        expected = getattr(python, scan)(index, model, *args)
+        got = getattr(backend, scan)(index, model, *args)
+        assert got == expected, (scan, args)
+        return expected
+
+    same("scan_mss")
+    past = n + data.draw(st.integers(1, 5))
+    for min_length in sorted({1, max(n, 1), past}):
+        same("scan_mss_min_length", min_length)
+    pairs = n * (n + 1) // 2
+    for t in sorted({1, max(pairs, 1), pairs + data.draw(st.integers(1, 5))}):
+        same("scan_top_t", t)
+    alpha0 = data.draw(st.floats(0.0, 3.0)) * (model.k - 1)
+    matches = same("scan_threshold", alpha0, None, True)[1]
+    for limit in [None, 0, 1, max(matches - 1, 1), matches, matches + 1]:
+        for count_only in (False, True):
+            same("scan_threshold", alpha0, limit, count_only)

@@ -6,8 +6,9 @@ this file tests the machinery around them -- a forced compile failure
 degrading to numpy with a structured warning, artifact reuse without a
 compiler (the worker-after-fork story), corrupt-artifact demotion,
 backend-independent calibration fingerprints, the registry's typo
-hint, ``native`` as the default a fresh interpreter resolves, and the
-lane step it reports (``-DREPRO_SCALAR_LANES`` builds the scalar one).
+hint, ``native`` as the default a fresh interpreter resolves, the
+lane step it reports (``-DREPRO_SCALAR_LANES`` builds the scalar one),
+and that a kernel which builds never fails its self-check.
 Everything here runs on compiler-less hosts too: the fallback path is
 exactly what is under test.
 """
@@ -127,6 +128,15 @@ class TestFallbackLadder:
         ).scan_mss(index, model)
         assert backend.resolved_name == "numpy"
         assert "native_fallback" in warning_stream.getvalue()
+
+
+def test_a_built_kernel_passes_its_self_check():
+    """Unguarded on purpose: a kernel that builds but fails its parity
+    self-check resolves to numpy, so every test keyed on
+    ``resolved_name == "native"`` skips -- this one fails instead.  A
+    missing compiler stays a skip everywhere else."""
+    reason = get_backend("native").fallback_reason or ""
+    assert not reason.startswith("parity self-check failed"), reason
 
 
 @pytest.mark.skipif(

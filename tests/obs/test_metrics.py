@@ -46,13 +46,11 @@ class TestRegistry:
 
 
 class TestCounterAndGauge:
-    def test_counter_inc_and_reset(self):
+    def test_counter_inc(self):
         counter = Counter("c_total", "help")
         counter.inc()
         counter.inc(2.5)
         assert counter.value == 3.5
-        counter.reset(10)
-        assert counter.value == 10.0
 
     def test_counter_rejects_negative_inc(self):
         with pytest.raises(ValueError):

@@ -198,7 +198,8 @@ class TestBackpressure:
             )
             await batcher.start()
             # manufacture a measured throughput of ~1000 docs/sec
-            batcher.docs_total, batcher.mine_seconds = 1000, 1.0
+            batcher.metrics.counter("repro_batcher_docs_total").inc(1000)
+            batcher.metrics.counter("repro_batcher_mine_seconds_total").inc(1.0)
             batcher._queued_docs = 500
             hint = batcher.retry_after_hint()
             batcher._queued_docs = 0
