@@ -165,9 +165,10 @@ _SERVICE_FLAGS = (
     ), True, None),
     ("--workers", dict(
         type=int, default=1,
-        help="mining threads on the native kernels, each keeping four "
-             "scans in flight (default 1: the service's own mine "
-             "thread; a numpy or python backend mines on one thread)",
+        help="mining threads on the native kernels, each keeping eight "
+             "scans in flight, four without AVX2 (default 1: the "
+             "service's own mine thread; a numpy or python backend "
+             "mines on one thread)",
     ), True, _at_least(1)),
     ("--batch-docs", dict(
         type=int, default=DEFAULT_BATCH_DOCS, metavar="N",
@@ -378,9 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cap on reported substrings per document")
     batch.add_argument("--workers", type=int, default=None,
                        help="mining and calibration threads on the native "
-                            "kernels, each running four scans in flight "
-                            "(default: one per usable CPU; 1 = the calling "
-                            "thread; other backends mine on one thread)")
+                            "kernels, each running eight scans in flight, "
+                            "four without AVX2 (default: one per usable "
+                            "CPU; 1 = the calling thread; other backends "
+                            "mine on one thread)")
     batch.add_argument(
         "--correction",
         choices=["none", "bonferroni", "bh"],

@@ -9,14 +9,19 @@ that data structure, preprocessed in O(k n) -- vectorised through numpy
 (one boolean ``cumsum`` per character), so indexing a megabyte-scale
 string costs milliseconds, not seconds.
 
-Two access paths are provided:
+The index holds the validated codes from the start and builds its
+matrix lazily, on the first read of either access path:
 
-* plain Python lists (:attr:`PrefixCountIndex.prefix_lists`) -- fastest
-  for the scalar inner loops of the scanners; materialised lazily on
-  first access and cached;
 * a numpy matrix (:meth:`PrefixCountIndex.counts_matrix`) -- the
   canonical storage, shared by the vectorised kernels, baselines and
-  profile computations (built once, returned by reference).
+  profile computations (built once, returned by reference);
+* plain Python lists (:attr:`PrefixCountIndex.prefix_lists`) -- fastest
+  for the scalar inner loops of the scanners; materialised from the
+  matrix on first access and cached.
+
+The native lanes read only :attr:`PrefixCountIndex.codes_array` and
+build each document's matrix in C on the thread that mines it, so a
+corpus mined there never builds one in Python.
 
 Codes may be given as any integer sequence, including the numpy array
 :meth:`repro.core.model.BernoulliModel.encode` produces -- no
@@ -44,6 +49,11 @@ class PrefixCountIndex:
         :meth:`~repro.core.model.BernoulliModel.encode`.
     k:
         Alphabet size.
+
+    Construction validates and copies the codes; the ``(k, n + 1)``
+    prefix matrix is built on the first :meth:`counts_matrix`,
+    :attr:`prefix_lists` or :meth:`count`.  Until then :meth:`counts`
+    counts the codes of the slice directly, with the same result.
 
     Examples
     --------
@@ -80,10 +90,7 @@ class PrefixCountIndex:
                 f"code {int(arr[position])!r} at position {position} is outside "
                 f"range(0, {k})"
             )
-        matrix = np.zeros((k, n + 1), dtype=np.int64)
-        for j in range(k):
-            np.cumsum(arr == j, out=matrix[j, 1:])
-        self._matrix = matrix
+        self._matrix: np.ndarray | None = None
         self._n = n
         self._k = k
         self._codes = arr
@@ -122,7 +129,7 @@ class PrefixCountIndex:
         from the numpy matrix on first access and cached.
         """
         if self._prefix_lists is None:
-            self._prefix_lists = self._matrix.tolist()
+            self._prefix_lists = self.counts_matrix().tolist()
         return self._prefix_lists
 
     def count(self, char: int, start: int, end: int) -> int:
@@ -130,23 +137,36 @@ class PrefixCountIndex:
         self._check_range(start, end)
         if not 0 <= char < self._k:
             raise ValueError(f"char {char!r} outside range(0, {self._k})")
-        row = self._matrix[char]
+        row = self.counts_matrix()[char]
         return int(row[end]) - int(row[start])
 
     def counts(self, start: int, end: int) -> tuple[int, ...]:
-        """Count vector of the substring ``codes[start:end]`` (half-open)."""
+        """Count vector of the substring ``codes[start:end]`` (half-open):
+        two matrix columns once the matrix is built, else the slice's
+        own codes counted (the same tuple of ints)."""
         self._check_range(start, end)
-        return tuple((self._matrix[:, end] - self._matrix[:, start]).tolist())
+        matrix = self._matrix
+        if matrix is None:
+            counted = np.bincount(self._codes[start:end], minlength=self._k)
+            return tuple(counted.tolist())
+        return tuple((matrix[:, end] - matrix[:, start]).tolist())
 
     def counts_matrix(self) -> np.ndarray:
         """``(k, n + 1)`` numpy matrix of prefix counts.
 
         ``counts_matrix()[j, i]`` equals ``prefix_lists[j][i]``.  This is
-        the index's canonical storage, returned by reference (not
-        copied) so the vectorised kernels and baselines share one
-        matrix -- treat it as read-only.
+        the index's canonical storage, built on the first call and
+        returned by reference (not copied) so the vectorised kernels and
+        baselines share one matrix -- treat it as read-only.  Threads
+        that build it at once build equal matrices, and one is kept.
         """
-        return self._matrix
+        matrix = self._matrix
+        if matrix is None:
+            matrix = np.zeros((self._k, self._n + 1), dtype=np.int64)
+            for j in range(self._k):
+                np.cumsum(self._codes == j, out=matrix[j, 1:])
+            self._matrix = matrix
+        return matrix
 
     def _check_range(self, start: int, end: int) -> None:
         if not 0 <= start <= end <= self._n:

@@ -14,11 +14,12 @@ once.  This subsystem is that layer:
   reference it equals.
 * :mod:`repro.engine.executors` -- how a job list is mined:
   :class:`ThreadExecutor`, a persistent thread pool.  On the GIL-free
-  native kernels each thread runs the C lane walker, which keeps four
-  mss/minlength scans in flight and claims the next document, longest
-  first, from a cursor every thread shares (top-t and threshold claim
-  one document per scan); ``ThreadExecutor(1)`` runs the lanes on the
-  calling thread.  Every other backend, and a single document, mines
+  native kernels each thread runs the C lane walker, which keeps eight
+  mss/minlength scans in flight (four without AVX2) and claims the next
+  document, longest first, from a cursor every thread shares, building
+  its prefix matrix from the document's codes as it claims it (top-t
+  and threshold claim one document per scan); ``ThreadExecutor(1)``
+  runs the lanes on the calling thread.  Every other backend, and a single document, mines
   on the calling thread through :func:`run_job_batch`, 32 documents per
   call.
   It is order-preserving and each lane runs the single-document scan's

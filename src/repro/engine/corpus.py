@@ -9,8 +9,10 @@ model.  :class:`CorpusEngine` takes a batch of
 
 1. mines them through an executor (:mod:`repro.engine.executors`) --
    by default one thread per usable CPU over the GIL-free native
-   kernels, each keeping four document scans in flight on the C lane
-   walker, and the calling thread for every other backend;
+   kernels, each keeping eight document scans in flight on the C lane
+   walker (four without AVX2), which builds each document's prefix
+   matrix on the thread that mines it, and the calling thread for every
+   other backend;
 2. optionally replaces each document's asymptotic p-value with the
    Monte-Carlo family-wise p-value from a shared
    :class:`~repro.engine.calibration.CalibrationCache` (one simulation
@@ -132,9 +134,10 @@ class CorpusEngine:
         ``map(fn, items)``.  Defaults to ``ThreadExecutor()``: one
         thread per usable CPU on native kernels, which mine the
         documents and score cold calibrations on the same pool.  Each
-        thread runs the C lane walker, four mss/minlength scans (or
-        calibration trials) in flight, claimed from a cursor all the
-        threads share.  ``ThreadExecutor(1)`` runs the lanes on the
+        thread runs the C lane walker, eight mss/minlength scans (or
+        calibration trials) in flight (four without AVX2), claimed from
+        a cursor all the threads share; a lane builds the prefix matrix
+        of what it claims.  ``ThreadExecutor(1)`` runs the lanes on the
         calling thread and never starts a pool.  Every other run --
         numpy, python, or a single document -- mines on the calling
         thread, one kernel ``mine_batch`` call per window of documents.

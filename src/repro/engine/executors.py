@@ -7,14 +7,17 @@ documents on the compiled ``native`` kernels goes to the lane walker:
 each of the executor's threads makes one ``mine_batch`` call per
 (spec, model) group, and every call claims documents from the group's
 shared :class:`~repro.kernels.native_backend.ClaimCursor`.  mss and
-minlength keep four scans in flight per call (one AVX2 group where the
-CPU has it), each lane claiming the next document, longest first, as
-it frees up; a thread's first claims stripe across the threads, so the
-longest documents spread over them.  top-t and threshold claim one
-document per scan.  A thread that finds one group drained
-moves on to the next, so no thread idles while a group still has
-unclaimed documents.  A run of more than ``_WINDOW_DOCS`` documents per
-thread is indexed and mined one such window at a time.  ctypes
+minlength keep eight scans in flight per call (two AVX2 groups where
+the CPU has it, four scalar lanes elsewhere), each lane claiming the
+next document, longest first, as it frees up and building that
+document's prefix matrix from its codes on the mining thread; a
+thread's first claims snake-stripe across the threads, so the longest
+documents spread over them.  top-t and threshold claim one document per
+scan, and build its matrix on the claiming thread too.  A thread that
+finds one group drained moves on to the next, so no thread idles while
+a group still has unclaimed documents.  A run of more than
+``_WINDOW_DOCS`` documents per thread is encoded and mined one such
+window at a time.  ctypes
 releases the GIL and the C source has no mutable globals, so the
 threads mine in parallel inside one process.
 ``ThreadExecutor(1)`` runs the same lanes on the calling thread and
@@ -63,10 +66,12 @@ from repro.kernels.native_backend import ClaimCursor
 
 __all__ = ["ThreadExecutor"]
 
-#: Documents indexed per mining thread at a time on the lanes: four
-#: lanes, about four documents each.  A longer native run mines its jobs
-#: in windows of ``workers * _WINDOW_DOCS``, so the prefix matrices held
-#: at once (8 (k + 1) bytes per symbol) cover one window, not the run.
+#: Documents encoded per mining thread at a time on the lanes: eight
+#: lanes, about two documents each.  A longer native run mines its jobs
+#: in windows of ``workers * _WINDOW_DOCS``, so the codes and results
+#: held at once (8 bytes per symbol) cover one window, not the run; the
+#: prefix matrices (8 k bytes per symbol) live only in the lanes, about
+#: one per lane.
 _WINDOW_DOCS = 16
 
 #: Documents per :func:`~repro.engine.jobs.run_job_batch` call on the

@@ -68,35 +68,50 @@
  *   - a lane's k counts are gathered once per evaluation and kept for
  *     the root loop, for k <= VECTOR_MAX_K; larger alphabets take the
  *     scalar step.
- * Documents run one vector group (four lanes) per call; calibration
- * trials run two groups (eight lanes), which keeps the divider busy
- * while one group waits on its gathers, and are compacted into one
- * group once four or fewer are live.  The last two scans finish on the
+ * One group rule serves documents and trials alike: a call runs GROUPS
+ * = 2 vector groups (eight lanes), which keeps the divider busy while
+ * one group waits on its gathers, and compacts them into one group once
+ * four or fewer scans are live.  The last two scans finish on the
  * scalar step and the very last on the lone step: with nothing to
  * overlap, a wide step only wastes lanes.
+ *
+ * In-lane indexing.  A slot is an encoded string (a document's codes,
+ * or one row of a calibration chunk's draws) and its length.  The lane
+ * that claims a slot builds the slot's (k, n + 1) prefix matrix into
+ * its own buffer, so no matrix exists before its scan starts or after
+ * it ends, and the build runs on the mining thread.  A lane's buffer
+ * grows (and never shrinks) when a claim is longer than any before it,
+ * so a call holds about one matrix per lane, each as long as the
+ * longest string that lane has scanned.
  *
  * Claims.  A run's slots (documents, longest first, or trials) are
  * claimed through a ``cursor`` that every call of the run shares:
  * ``cursor[0]`` is the next slot and ``cursor[1]`` the next seat, and
  * ``taken`` holds one claim flag per slot, set by an atomic exchange, so
  * every slot is claimed exactly once however many calls share the
- * cursor.  Each call takes the next seat; a call of seat t < ``threads``
- * starts its lane l on the striped slot l * threads + t (so the longest
- * documents of a run spread over its threads instead of filling the
- * first thread's lanes), and a lane whose striped slot is past the end
- * starts idle.  Every later claim, and every claim of a seat at or past
- * ``threads``, takes the cursor's next slot whose flag is still clear.
+ * cursor.  Each call takes the next seat, and a call of seat t <
+ * ``threads`` starts its lanes on snake stripes: lane l starts on slot
+ * l * threads + t for even l and l * threads + (threads - 1 - t) for odd
+ * l.  With eight lanes a call's first claims can take a whole job, so
+ * they alone decide how evenly the threads share it: plain stripes
+ * would give seat 0 the longer document of every pair, snake stripes
+ * alternate.  A lane whose striped slot is past the end starts idle.
+ * Every later claim, and every claim of a seat at or past ``threads``,
+ * takes the cursor's next slot whose flag is still clear.
  *
  * Conventions shared by every entry point:
  *   - ``mat`` is a row-major (k, n + 1) int64 prefix-count matrix (the
- *     ``PrefixCountIndex.counts_matrix()`` layout);
+ *     ``PrefixCountIndex.counts_matrix()`` layout); the lane entry
+ *     points take encoded strings and build it themselves;
  *   - ``probs``/``inv_p`` are the model probabilities and their
  *     reciprocals, length k;
  *   - ``eps`` is ``repro.core.skip.ROOT_EPSILON`` (passed in so the
  *     constant has a single Python source of truth);
  *   - a ``budget`` is the seconds left before the run's deadline
  *     (INFINITY for none), checked before every claim;
- *   - counters use int64; return codes: 0 ok, 1 allocation failure.
+ *   - counters use int64; return codes: 0 ok, 1 allocation failure
+ *     (a lane whose buffer cannot grow stops the call's claims; the
+ *     scans in flight finish).
  */
 
 #define _POSIX_C_SOURCE 199309L
@@ -113,9 +128,8 @@
 
 /* Lanes per scalar walk and per vector group. */
 #define LANES 4
-/* Vector groups per call: one for documents, two for trials. */
-#define DOC_GROUPS 1
-#define TRIAL_GROUPS 2
+/* Vector groups per call, for documents and trials alike. */
+#define GROUPS 2
 /* The largest k whose counts the vector step keeps per lane. */
 #define VECTOR_MAX_K 32
 
@@ -243,7 +257,8 @@ typedef struct {
     double best;
     int64_t best_start, best_end, evaluated, skipped;
     int64_t slot;       /* the document or trial being scanned */
-    int64_t *buf;       /* trials: the lane's own prefix-matrix buffer */
+    int64_t *buf;       /* lanes: the lane's own prefix-matrix buffer */
+    int64_t cap;        /* its capacity, in int64 */
 } scan_state;
 
 typedef struct {
@@ -435,13 +450,10 @@ typedef struct {
     int64_t count;
     double expires;
     int64_t seat, threads; /* this call's stripe (seat < threads) */
-    /* documents: one prefix matrix per slot */
-    const int64_t *const *mats;
+    /* one encoded string and its length per slot */
+    const int64_t *const *codes;
     const int64_t *ns;
-    /* trials: (count, n) encoded draws, one matrix buffer per lane */
-    const int64_t *codes;
-    int64_t n;
-    int64_t *bufs;
+    int failed; /* a lane buffer could not grow: claim nothing more */
     /* per-slot outputs; out_pos/out_work may be NULL */
     double *out_best;
     int64_t *out_pos;
@@ -478,46 +490,69 @@ static void scan_finish(claims *c, const scan_state *s)
 }
 
 /* Start a lane on ``stripe`` (see claim_slot) or the next free slot; 0
- * once nothing is left for it.  A trial builds its prefix matrix into
- * the lane's own buffer.  A slot with no rows (min_length > n) is
- * finished on the spot, and the lane moves on to the cursor.          */
+ * once nothing is left for it.  The lane builds the slot's prefix matrix
+ * into its own buffer, grown first if the slot is longer than any it
+ * has held.  A slot with no rows (min_length > n) is finished on the
+ * spot, and the lane moves on to the cursor.                          */
 static int lane_claim(claims *c, const scan_params *m, scan_state *s,
                       int64_t stripe)
 {
     for (;;) {
         const int64_t slot =
-            claim_slot(c->cursor, c->taken, c->count, c->expires, stripe);
+            c->failed ? -1
+                      : claim_slot(c->cursor, c->taken, c->count, c->expires,
+                                   stripe);
         stripe = -1;
         if (slot < 0) {
             s->mat = NULL;
             return 0;
         }
-        if (c->codes) {
-            build_prefix(c->codes + slot * c->n, c->n, m->k, s->buf);
-            scan_start(s, m, s->buf, c->n, slot);
-        } else {
-            scan_start(s, m, c->mats[slot], c->ns[slot], slot);
+        const int64_t n = c->ns[slot];
+        scan_start(s, m, NULL, n, slot);
+        if (s->i < 0) {
+            scan_finish(c, s);
+            continue;
         }
-        if (s->i >= 0)
-            return 1;
-        scan_finish(c, s);
+        const int64_t need = m->k * (n + 1);
+        if (need > s->cap) {
+            free(s->buf);
+            s->buf = malloc((size_t)need * sizeof(int64_t));
+            s->cap = s->buf ? need : 0;
+            if (!s->buf) {
+                c->failed = 1;
+                return 0;
+            }
+        }
+        build_prefix(c->codes[slot], n, m->k, s->buf);
+        s->mat = s->buf;
+        return 1;
     }
 }
 
-/* Give lanes [0, width) their buffers and first claims: lane l of seat
- * t < threads starts on slot l * threads + t.  Returns the live lanes. */
+/* Give lanes [0, width) empty buffers and their first claims, on snake
+ * stripes: lane l of seat t < threads starts on slot l * threads + t
+ * for even l and l * threads + (threads - 1 - t) for odd l.  Returns
+ * the live lanes.                                                     */
 static int lanes_start(claims *c, const scan_params *m, scan_state *lanes,
                        int width)
 {
+    const int64_t t = c->seat, threads = c->threads;
     int live = 0;
     for (int l = 0; l < width; l++) {
-        lanes[l].buf = c->bufs ? c->bufs + (int64_t)l * m->k * (c->n + 1)
-                               : NULL;
+        lanes[l].buf = NULL;
+        lanes[l].cap = 0;
         const int64_t stripe =
-            c->seat < c->threads ? (int64_t)l * c->threads + c->seat : -1;
+            t >= threads ? -1
+                         : l * threads + (l % 2 ? threads - 1 - t : t);
         live += lane_claim(c, m, &lanes[l], stripe);
     }
     return live;
+}
+
+static void lanes_free(scan_state *lanes, int width)
+{
+    for (int l = 0; l < width; l++)
+        free(lanes[l].buf);
 }
 
 /* Advance the scalar lanes [0, width) until the claims run dry.  A scan
@@ -555,6 +590,7 @@ static void walk_scalar(claims *c, const scan_params *m, int binary)
         lanes_run(c, m, 1, lanes, LANES, live);
     else
         lanes_run(c, m, 0, lanes, LANES, live);
+    lanes_free(lanes, LANES);
 }
 
 #ifdef REPRO_VECTOR_LANES
@@ -866,15 +902,17 @@ AVX2_INLINE int vsteps(scan_state *lanes, const vmodel *v, const int binary,
     return done;
 }
 
-/* ``walk`` on the vector step: ``groups`` groups while more than two
- * scans are live, then the scalar lanes for the last two.            */
+/* ``walk`` on the vector step: GROUPS groups while more than four scans
+ * are live, one group while three or four are, then the scalar lanes
+ * for the last two.                                                   */
 AVX2_INLINE void walk_vector_as(claims *c, const scan_params *m,
-                                const int binary, int groups)
+                                const int binary)
 {
-    scan_state lanes[TRIAL_GROUPS * LANES];
+    scan_state lanes[GROUPS * LANES];
     vmodel v;
     vmodel_of(&v, m);
-    int live = lanes_start(c, m, lanes, groups * LANES);
+    int groups = GROUPS;
+    int live = lanes_start(c, m, lanes, GROUPS * LANES);
     while (live > 2) {
         if (groups == 2 && live <= LANES) {
             lanes_compact(lanes, 2 * LANES);
@@ -892,18 +930,17 @@ AVX2_INLINE void walk_vector_as(claims *c, const scan_params *m,
     }
     lanes_compact(lanes, groups * LANES);
     lanes_run(c, m, binary, lanes, live, live);
+    lanes_free(lanes, GROUPS * LANES);
 }
 
-AVX2 static void walk_vector_binary(claims *c, const scan_params *m,
-                                    int groups)
+AVX2 static void walk_vector_binary(claims *c, const scan_params *m)
 {
-    walk_vector_as(c, m, 1, groups);
+    walk_vector_as(c, m, 1);
 }
 
-AVX2 static void walk_vector_generic(claims *c, const scan_params *m,
-                                     int groups)
+AVX2 static void walk_vector_generic(claims *c, const scan_params *m)
 {
-    walk_vector_as(c, m, 0, groups);
+    walk_vector_as(c, m, 0);
 }
 #endif /* REPRO_VECTOR_LANES */
 
@@ -919,27 +956,22 @@ static int vector_step_for(int64_t k)
 #endif
 }
 
-/* Lanes per call: ``groups`` vector groups, or the scalar LANES. */
-static int lanes_for(int64_t k, int groups)
-{
-    return vector_step_for(k) ? groups * LANES : LANES;
-}
-
-/* Mine the claims on this call's lanes, taking the next seat. */
-static void walk(claims *c, const scan_params *m, int binary, int groups)
+/* Mine the claims on this call's lanes, taking the next seat; 1 when a
+ * lane buffer could not be allocated.                                 */
+static int32_t walk(claims *c, const scan_params *m, int binary)
 {
     c->seat = __atomic_fetch_add(c->cursor + 1, 1, __ATOMIC_RELAXED);
 #ifdef REPRO_VECTOR_LANES
     if (vector_step_for(m->k)) {
         if (binary)
-            walk_vector_binary(c, m, groups);
+            walk_vector_binary(c, m);
         else
-            walk_vector_generic(c, m, groups);
-        return;
+            walk_vector_generic(c, m);
+        return c->failed;
     }
 #endif
-    (void)groups;
     walk_scalar(c, m, binary);
+    return c->failed;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1192,15 +1224,16 @@ int32_t repro_lane_step(void)
 }
 
 /* Best-substring scans of ``docs`` documents on this call's lanes.  Slot
- * s is the document with prefix matrix ``mats[s]`` and length ``ns[s]``;
- * lanes claim slots (see Claims in the header: ``cursor``, ``taken`` and
- * the run's ``threads``) until they run out or ``budget`` seconds pass,
- * and a claimed slot's best, (start, end) and (evaluated, skipped) land
- * at index s of the outputs (pairs at 2s, 2s + 1).  Calls on several
+ * s is the document with encoded string ``codes[s]`` (int64 codes in
+ * range(k)) of length ``ns[s]``; lanes claim slots (see Claims in the
+ * header: ``cursor``, ``taken`` and the run's ``threads``) until they
+ * run out or ``budget`` seconds pass, build a claimed slot's prefix
+ * matrix, and write its best, (start, end) and (evaluated, skipped) at
+ * index s of the outputs (pairs at 2s, 2s + 1).  Calls on several
  * threads may share one cursor: each slot goes to exactly one lane.
  * ``off`` is 1 for mss (``binary`` selects the k == 2 fast path) and
  * min_length for minlength.                                           */
-int32_t repro_mine_lanes(const int64_t *const *mats, const int64_t *ns,
+int32_t repro_mine_lanes(const int64_t *const *codes, const int64_t *ns,
                          int64_t docs, int64_t *cursor, uint8_t *taken,
                          int64_t threads, double budget, int64_t k,
                          const double *probs, const double *inv_p,
@@ -1210,30 +1243,36 @@ int32_t repro_mine_lanes(const int64_t *const *mats, const int64_t *ns,
 {
     const scan_params m = params_of(k, probs, inv_p, off, binary, eps);
     claims c = {cursor, taken, docs, expiry_of(budget), 0, threads,
-                mats, ns, NULL, 0, NULL, out_best, out_pos, out_work};
-    walk(&c, &m, binary, DOC_GROUPS);
-    return 0;
+                codes, ns, 0, out_best, out_pos, out_work};
+    return walk(&c, &m, binary);
 }
 
 /* Monte-Carlo calibration: ``codes`` is (t, n) row-major encoded null
- * draws.  Lanes claim trials as ``repro_mine_lanes`` claims documents,
- * build each trial's prefix matrix into their own buffer and run the
- * full mss scan, writing X²max into out_best[trial].  Calls on several
- * threads may share a cursor.                                         */
+ * draws.  Each row is a slot of ``repro_mine_lanes``'s claim path: lanes
+ * claim trials as they claim documents, build each trial's prefix
+ * matrix and run the full mss scan, writing X²max into out_best[trial].
+ * Calls on several threads may share a cursor.                        */
 int32_t repro_calibrate_lanes(const int64_t *codes, int64_t t, int64_t n,
                               int64_t k, const double *probs,
                               const double *inv_p, double eps,
                               int64_t *cursor, uint8_t *taken,
                               int64_t threads, double *out_best)
 {
-    const int64_t lanes = lanes_for(k, TRIAL_GROUPS);
-    int64_t *bufs = malloc((size_t)(lanes * k * (n + 1)) * sizeof(int64_t));
-    if (!bufs)
-        return 1;
-    const scan_params m = params_of(k, probs, inv_p, 1, k == 2, eps);
-    claims c = {cursor, taken, t, INFINITY, 0, threads, NULL, NULL,
-                codes, n, bufs, out_best, NULL, NULL};
-    walk(&c, &m, k == 2, TRIAL_GROUPS);
-    free(bufs);
-    return 0;
+    /* t + 1: malloc(0) may return NULL */
+    const int64_t **rows = malloc((size_t)(t + 1) * sizeof(*rows));
+    int64_t *ns = malloc((size_t)(t + 1) * sizeof(*ns));
+    int32_t rc = 1;
+    if (rows && ns) {
+        for (int64_t trial = 0; trial < t; trial++) {
+            rows[trial] = codes + trial * n;
+            ns[trial] = n;
+        }
+        const scan_params m = params_of(k, probs, inv_p, 1, k == 2, eps);
+        claims c = {cursor, taken, t, INFINITY, 0, threads,
+                    rows, ns, 0, out_best, NULL, NULL};
+        rc = walk(&c, &m, k == 2);
+    }
+    free(rows);
+    free(ns);
+    return rc;
 }

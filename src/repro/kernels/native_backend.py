@@ -45,13 +45,17 @@ lane walker: each call keeps several best-substring scans in flight and
 advances them one X² evaluation at a time, so the dependent chains of
 different documents (or calibration trials) overlap on one core.  On a
 CPU with AVX2 a step advances a group of four lanes with one vector
-instruction per operation -- one group for documents, two (eight
-trials) for calibration; elsewhere four scalar lanes take turns.
+instruction per operation, two groups (eight lanes) per call for
+documents and trials alike; elsewhere four scalar lanes take turns.
 :attr:`NativeBackend.lane_step` says which (``"avx2"`` or
 ``"scalar"``).  Lanes claim documents, longest first, or trials from a
 :class:`ClaimCursor` that every thread of a run shares; a thread's
-first claims are striped across the run's threads, so the longest
-documents do not all land on one thread.  Each lane runs exactly the
+first claims are snake-striped across the run's threads, so the longest
+documents do not all land on one thread.  The lanes take encoded
+strings (:attr:`~repro.core.counts.PrefixCountIndex.codes_array`, or a
+calibration chunk's rows), and the lane that claims one builds its
+prefix matrix in its own buffer, so the lanes path builds no matrix in
+Python and holds about one per lane.  Each lane runs exactly the
 single-document scan's operations, so the results stay bit-identical;
 ``mss_kernels.c`` gives the rules that keep them so.
 
@@ -101,7 +105,7 @@ CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 #: Bumped whenever the exported C ABI changes, so stale cached artifacts
 #: from an older layout are never loaded.
-_ABI_TAG = "repro-native-v3"
+_ABI_TAG = "repro-native-v4"
 
 _PI64 = ctypes.POINTER(ctypes.c_int64)
 _PF64 = ctypes.POINTER(ctypes.c_double)
@@ -284,9 +288,10 @@ class ClaimCursor:
     ``mss_kernels.c``, which sets one claim flag per slot by an atomic
     exchange, so each slot goes to exactly one claimant however many
     calls share the cursor.  ``threads`` is how many lane calls the run
-    makes: each call takes the next seat, and the lanes of seat t start
-    on the striped slots l * threads + t, so the longest documents of a
-    run spread over its threads; a seat at or past ``threads`` (more
+    makes: each call takes the next seat, and lane l of seat t starts on
+    the snake-striped slot l * threads + t (even l) or l * threads +
+    threads - 1 - t (odd l), so the longest documents of a run spread
+    evenly over its threads; a seat at or past ``threads`` (more
     calls than announced) claims from the cursor alone, and a slot left
     by a seat that never comes is claimed from the cursor too.  With a
     ``deadline`` (a :class:`~repro.engine.deadline.Deadline`) nothing is
@@ -369,7 +374,8 @@ def _parity_self_check(backend: "NativeBackend") -> str | None:
     minlength) and calibration on deterministic strings at k = 2 and
     k = 3 and compares raw tuples with ``==``.  The lane checks run the
     step :attr:`NativeBackend.lane_step` names, vector or scalar: the
-    batch keeps four mss and three minlength scans in flight, and the
+    batch keeps five mss scans in flight (two vector groups, compacted
+    into one at four) and three minlength scans (one group), and the
     six trials fill one vector group and part of another.  Returns
     ``None`` on success or a reason string -- a compiler that
     mis-rounds (or a corrupt artifact) is caught here and demoted to
@@ -622,13 +628,15 @@ class NativeBackend:
     def mine_batch(self, indexes, model, spec, cursor=None):
         """Mine a corpus chunk (the ``mine_batch`` contract).
 
-        mss and minlength run on the C lane walker: four scans in
-        flight per call (one AVX2 group where :attr:`lane_step` is
-        ``"avx2"``), each lane claiming the next document, longest
-        first, when it frees up (a scan left alone finishes with the
-        lone scan's step, and a single document is one lone scan).
-        top-t and threshold claim documents the same way but scan each
-        one on its own.  Results are the single-document scans' bits
+        mss and minlength run on the C lane walker: eight scans in
+        flight per call (two AVX2 groups where :attr:`lane_step` is
+        ``"avx2"``; four scalar lanes elsewhere), each lane claiming the
+        next document, longest first, when it frees up and building its
+        prefix matrix from the index's codes (a scan left alone
+        finishes with the lone scan's step, and a single document is
+        one lone scan).  top-t and threshold claim documents the same
+        way but scan each one on its own, building its matrix on the
+        claiming thread.  Results are the single-document scans' bits
         either way.
 
         ``cursor`` (a :class:`ClaimCursor`) lets calls on several
@@ -662,11 +670,12 @@ class NativeBackend:
     def _mine_lanes(self, indexes, order, model, spec, cursor):
         """One ``repro_mine_lanes`` call over ``indexes`` in claim
         ``order``; raw tuples in input order, ``None`` where another
-        call (or the deadline) took the document."""
-        mats = [
-            np.ascontiguousarray(indexes[doc].counts_matrix()) for doc in order
-        ]
-        pointers = np.array([mat.ctypes.data for mat in mats], dtype=np.uintp)
+        call (or the deadline) took the document.  The lanes read each
+        index's codes and build its prefix matrix themselves."""
+        pointers = np.array(
+            [indexes[doc].codes_array.ctypes.data for doc in order],
+            dtype=np.uintp,
+        )
         lengths = np.array([indexes[doc].n for doc in order], dtype=np.int64)
         docs = len(order)
         probs, inv_p = _model_arrays(model)
@@ -700,8 +709,9 @@ class NativeBackend:
         """Monte-Carlo X²max samples through ``_simulate_chunked``,
         bit-identical to the reference.  Draws stay sequential there;
         each chunk's trials are claimed by C lanes (eight per call where
-        :attr:`lane_step` is ``"avx2"``), which build their trial's
-        prefix matrix when they claim it.  With an ``executor``,
+        :attr:`lane_step` is ``"avx2"``) on the same claim path as
+        documents, which builds a trial's prefix matrix when a lane
+        claims it.  With an ``executor``,
         ``executor.threads(self)`` calls on its pool share each chunk's
         cursor."""
         self._ensure()

@@ -324,19 +324,21 @@ def _row_span(n, i_lo, i_hi, e_offset):
     return count * (n + 1 - e_offset) - sum_i
 
 
-def _lanes(spans):
-    """Lane start rows and document tags of ``(d, hi, lo)`` row spans.
-
-    Each span contributes rows ``hi`` down to ``lo`` of document ``d``,
-    in scan order.
-    """
-    i_arr = np.concatenate([
+def _lane_rows(spans):
+    """Lane start rows of ``(d, hi, lo)`` row spans: each span
+    contributes rows ``hi`` down to ``lo`` of document ``d``, in scan
+    order."""
+    return np.concatenate([
         np.arange(hi, lo - 1, -1, dtype=np.int64) for _, hi, lo in spans
     ])
-    tags = np.concatenate([
+
+
+def _lane_tags(spans):
+    """The document tag of each lane of :func:`_lane_rows`; only a pass
+    over several documents reads them."""
+    return np.concatenate([
         np.full(hi - lo + 1, d, dtype=np.int64) for d, hi, lo in spans
     ])
-    return i_arr, tags
 
 
 def _by_document(cand_t, cand_i, cand_e, cand_x):
@@ -507,13 +509,14 @@ def _run_batched_sweep(corpus, e_offset, bounds, scalar_row, update_rows,
         """One wavefront over ``spans`` under each document's current
         bound: per-document evaluation counts, and the candidates of each
         document that has any (see :func:`_by_document`)."""
-        i_arr, tags = _lanes(spans)
+        i_arr = _lane_rows(spans)
         if docs == 1:
             ev, *_, ci, ce, cx, _ = lane_pass(
                 lengths[0], i_arr, i_arr + e_offset, None, bounds[0],
                 collect, None, None,
             )
             return (ev,), ({0: (ci, ce, cx)} if ci.size else {})
+        tags = _lane_tags(spans)
         eval_by_tag = np.zeros(docs, dtype=np.int64)
         _, *_, ci, ce, cx, ct = lane_pass(
             corpus.n_arr[tags], i_arr, i_arr + e_offset, corpus.offsets[tags],
@@ -830,12 +833,13 @@ class NumpyBackend:
                       for d, hi in enumerate(i_hi) if hi >= 0]
             if not blocks:
                 break
-            i_arr, tags = _lanes(blocks)
+            i_arr = _lane_rows(blocks)
             if docs == 1:
                 ev, exceeded, ci, ce, cx, _ = doc_pass(0, i_arr, not count_only)
                 eval_by_tag, match_by_tag = (ev,), (exceeded,)
                 cands = {0: (ci, ce, cx)} if ci.size else {}
             else:
+                tags = _lane_tags(blocks)
                 eval_by_tag = np.zeros(docs, dtype=np.int64)
                 _, _, ci, ce, cx, ct = _lane_pass_generic(
                     corpus.mat, corpus.n_arr[tags], i_arr, i_arr + 1,

@@ -42,6 +42,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from repro.core.results import ScanStats
 from repro.engine.corpus import CorpusEngine, CorpusResult
 from repro.engine.deadline import (
     Deadline,
@@ -51,6 +52,7 @@ from repro.engine.deadline import (
 )
 from repro.engine.jobs import MiningJob
 from repro.faults import get_faults
+from repro.kernels import resolved_backend_name
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Trace
 from repro.service import DEFAULT_BATCH_DOCS
@@ -649,7 +651,10 @@ class MicroBatcher:
         ``kernel`` child is synthesised from the request's per-document
         scan times (its position inside ``batch_mine`` is approximate,
         its duration measured, and clipped to ``batch_mine`` when
-        threads mined documents side by side).
+        threads mined documents side by side).  It carries the paper's
+        counts for the request's documents: ``symbols`` (the sum of n),
+        X² ``evaluated`` and chain-cover ``skipped``, and the ``backend``
+        that resolved to serve them.
         """
         trace = pending.trace
         trace.add(
@@ -664,16 +669,18 @@ class MicroBatcher:
             mine_done,
             batch_docs=len(slice_docs),
         )
-        kernel_seconds = sum(
-            document.stats.elapsed_seconds for document in slice_docs
-        )
-        if kernel_seconds > 0.0:
+        stats = ScanStats.merged(document.stats for document in slice_docs)
+        if stats.elapsed_seconds > 0.0:
             trace.add(
                 "kernel",
                 started,
-                min(mine_done, started + kernel_seconds),
+                min(mine_done, started + stats.elapsed_seconds),
                 parent="batch_mine",
                 docs=len(slice_docs),
+                symbols=stats.n,
+                evaluated=stats.substrings_evaluated,
+                skipped=stats.positions_skipped,
+                backend=resolved_backend_name(pending.request.spec.backend),
             )
 
     def _resolve_all(self, batch: list[_Pending], exc: Exception) -> None:

@@ -1,5 +1,6 @@
 """Unit tests for repro.core.counts.PrefixCountIndex."""
 
+import threading
 from collections import Counter
 
 import numpy as np
@@ -148,3 +149,53 @@ class TestNumpyCodes:
         arr[0] = 1  # caller mutates its own buffer afterwards
         assert index.codes == [0, 1, 1, 0]
         assert index.counts(0, 4) == (2, 2)
+
+
+class TestLazyMatrix:
+    """The matrix is built on first use; nothing reads differently."""
+
+    @given(
+        st.integers(2, 6).flatmap(
+            lambda k: st.tuples(
+                st.just(k), st.lists(st.integers(0, k - 1), max_size=60)
+            )
+        ),
+        st.data(),
+    )
+    def test_counts_before_and_after_the_build_agree(self, drawn, data):
+        k, codes = drawn
+        n = len(codes)
+        slices = data.draw(st.lists(
+            st.tuples(st.integers(0, n), st.integers(0, n)).map(sorted),
+            min_size=1, max_size=8,
+        ))
+        slices.append((n, n))  # the empty slice, at the very end
+        index = PrefixCountIndex(codes, k)
+        before = [index.counts(start, end) for start, end in slices]
+        index.counts_matrix()
+        after = [index.counts(start, end) for start, end in slices]
+        assert before == after
+        assert all(type(v) is int for counts in before for v in counts)
+        assert before[-1] == (0,) * k
+
+    def test_threads_building_one_matrix_get_equal_matrices(self):
+        rng = np.random.default_rng(7)
+        index = PrefixCountIndex(rng.integers(0, 4, size=50_000), 4)
+        barrier = threading.Barrier(4)
+        built = [None] * 4
+
+        def build(slot):
+            barrier.wait(timeout=30)
+            built[slot] = index.counts_matrix()
+
+        threads = [
+            threading.Thread(target=build, args=(slot,)) for slot in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        expected = PrefixCountIndex(index.codes_array, 4).counts_matrix()
+        for matrix in built:
+            np.testing.assert_array_equal(matrix, expected)
+        np.testing.assert_array_equal(index.counts_matrix(), expected)

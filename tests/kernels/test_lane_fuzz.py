@@ -2,10 +2,11 @@
 
 Native ``mine_batch`` runs mss and minlength on C lanes -- scans in
 flight per call, each lane claiming the next document from a cursor
-that every calling thread shares -- and native calibration runs its
-trials the same way.  On an AVX2 CPU the lanes advance four per vector
-instruction (one group of four for documents, two groups for trials,
-the last two scans on the scalar lanes); k above the vector step's cap
+that every calling thread shares and building its prefix matrix from
+the document's codes -- and native calibration runs its trials the same
+way.  On an AVX2 CPU the lanes advance four per vector instruction (two
+groups of four per call, compacted into one at four live scans, the
+last two scans on the scalar lanes); k above the vector step's cap
 takes the scalar lanes.  Every assertion is ``==`` on raw tuples (X²,
 interval, evaluated, skipped) or samples against the python reference
 and numpy, over:
@@ -19,6 +20,11 @@ and numpy, over:
   claimed exactly once, including a cursor shared by more calls than
   its ``threads`` (extra seats skip the stripe) and by fewer (their
   striped slots must not be stranded);
+* 5-16 documents of 60-400 symbols, so both vector groups stay live
+  for many steps and compact mid-run, mined by calls that start
+  together or one after another: a seat that arrives late leaves its
+  striped documents to the first call, whose lanes then claim
+  documents longer than their first and must grow their buffers;
 * calibration samples at 1 and 2 threads, k = 2, 3, 4 and 26, at 1-17
   trials: around the eight-lane groups, their compaction into one and
   the hand-off to the scalar lanes at two.
@@ -134,6 +140,21 @@ def _shared_mine(indexes, model, spec, threads, pools, seats=1):
     return merged
 
 
+def _late_seats_mine(indexes, model, spec, seats):
+    """Native ``mine_batch`` by ``seats`` calls on one thread, one after
+    another, sharing a cursor announced for all of them: the first call
+    claims every document, its striped ones first, then the later
+    seats' (longer than most of its own) from the cursor."""
+    native = get_backend("native")
+    cursor = ClaimCursor(threads=seats)
+    first, *rest = [
+        native.mine_batch(indexes, model, spec, cursor=cursor)
+        for _ in range(seats)
+    ]
+    assert all(raw is None for part in rest for raw in part)
+    return first
+
+
 def test_claim_cursor_hands_out_each_slot_once():
     cursor = ClaimCursor()
     assert [cursor.claim(2) for _ in range(3)] == [0, 1, None]
@@ -194,6 +215,32 @@ def test_many_documents_are_each_claimed_once(data, threads, seats,
     got = _shared_mine(indexes, model, spec, threads, pools, seats=seats)
     assert got == REFERENCE.mine_batch(indexes, model, spec)
     assert got == get_backend("numpy").mine_batch(indexes, model, spec)
+
+
+@given(
+    data=st.data(),
+    calls=st.sampled_from(["together", "late"]),
+    threads=st.sampled_from([1, 2, 4]),
+    problem=st.sampled_from(["mss", "minlength"]),
+)
+def test_both_groups_compact_mid_run(data, calls, threads, problem, pools):
+    """Longer documents than the other strategies, ragged enough that a
+    lane's later claim can outgrow its first."""
+    model = data.draw(models(ks=st.sampled_from([2, 3, 4, 7])))
+    indexes = data.draw(corpora(
+        model, st.lists(st.integers(60, 400), min_size=5, max_size=16)
+    ))
+    spec = (
+        JobSpec() if problem == "mss"
+        else JobSpec(problem="minlength",
+                     min_length=data.draw(st.integers(1, 80)))
+    )
+    if calls == "late":
+        got = _late_seats_mine(indexes, model, spec, max(threads, 2))
+    else:
+        got = _shared_mine(indexes, model, spec, threads, pools,
+                           seats=threads)
+    assert got == REFERENCE.mine_batch(indexes, model, spec)
 
 
 @given(data=st.data(), k=st.integers(31, 34),

@@ -261,6 +261,31 @@ class TestTraceEndpoint:
             "parse", "queue_wait", "batch_mine", "finalize", "serialize",
         ]
 
+    def test_kernel_span_carries_the_papers_counts(self, corpus):
+        """The kernel span notes the request's symbols, X² evaluations,
+        chain-cover skips and resolved backend, summed over its
+        documents as the response reports them."""
+        with _serve(batch_docs=4) as handle:
+            with ServiceClient(*handle.address) as client:
+                response = client.mine(texts=corpus)
+                tree = client.trace()
+                backend = client.healthz()["backend_resolved"]
+        (batch_mine,) = [
+            span for span in tree["spans"] if span["name"] == "batch_mine"
+        ]
+        (kernel,) = [
+            span for span in batch_mine["children"]
+            if span["name"] == "kernel"
+        ]
+        assert kernel["notes"] == {
+            "docs": len(corpus),
+            "symbols": sum(len(text) for text in corpus),
+            "evaluated": sum(d["evaluated"] for d in response["results"]),
+            "skipped": sum(d["skipped"] for d in response["results"]),
+            "backend": backend,
+        }
+        assert kernel["notes"]["evaluated"] == response["evaluated"] > 0
+
     def test_unknown_trace_id_is_404(self):
         with _serve() as handle:
             status, _, raw = _get(handle.address, "/trace/feedface00000099")
